@@ -27,6 +27,7 @@ from .formats import (
     graph6_bytes,
     parse_edge_list,
     parse_graph6,
+    parse_graphs,
     read_embeddings,
     read_graph,
     read_graphs,
@@ -103,6 +104,7 @@ __all__ = [
     "max_matching_size",
     "parse_edge_list",
     "parse_graph6",
+    "parse_graphs",
     "path",
     "planar_embedding",
     "read_embeddings",

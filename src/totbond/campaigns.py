@@ -370,10 +370,6 @@ def evaluate_theorem(tag: str, g: Graph, work_budget: int | None = None) -> Grap
     raise ValueError(f"unknown theorem tag {tag!r}")
 
 
-def _eval_for_pool(g: Graph, tag: str, work_budget: int | None) -> GraphOutcome:
-    return evaluate_theorem(tag, g, work_budget)
-
-
 def run_campaign(
     tag: str,
     corpus,
@@ -391,7 +387,7 @@ def run_campaign(
     if jobs > 1 and len(graphs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(
-                pool.map(partial(_eval_for_pool, tag=tag, work_budget=work_budget), graphs)
+                pool.map(partial(evaluate_theorem, tag, work_budget=work_budget), graphs)
             )
     else:
         outcomes = [evaluate_theorem(tag, g, work_budget) for g in graphs]

@@ -24,7 +24,7 @@ from .campaigns import (
 from .corpus import girth4_corpus, planar_min3_corpus
 from .domination import gamma_t
 from .families import FamilySpec
-from .formats import graph6_bytes, read_embeddings, read_graphs
+from .formats import graph6_bytes, parse_graphs, read_embeddings, read_graphs
 from .graphs import Graph
 from .trees import enumerate_trees
 from .witnesses import (
@@ -79,11 +79,7 @@ def resolve_corpus(src: str) -> list[Graph]:
 
 def _load_inputs(path: str) -> list[Graph]:
     if path == "-":
-        data = sys.stdin.buffer.read()
-        tmp = "/tmp/totbond-stdin"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        return list(read_graphs(tmp))
+        return parse_graphs(sys.stdin.buffer.read())
     if not os.path.exists(path):
         raise SystemExit(f"no such input file: {path!r}")
     return list(read_graphs(path))

@@ -5,6 +5,20 @@ members cover V(G).  The solver therefore runs a covering search over
 the universe V with candidate sets {N(v)}: iterative deepening on the
 target size, branching on an uncovered vertex with the fewest remaining
 coverers.  Certificates carry the witness so callers can replay them.
+
+One search core, `_cover_search`, serves `gamma_t`, `_exists_cover` (the
+bondage solver's question) and `exists_total_dominating_set`.  It prunes
+a node by a packing lower bound (Henning & Yeo, Total Domination in
+Graphs, 2013): walking the uncovered vertices in ascending degree order,
+keep each one whose neighborhood is disjoint from those kept so far.
+Every kept vertex needs a dominator of its own, so more of them than the
+remaining budget means no cover below the node.  A max-gain bound
+(budget times the largest coverage must reach the uncovered count)
+catches the dense cases.  `gamma_t` also starts its deepening at the
+root's packing bound.  Both bounds only cut subtrees that hold no cover;
+the branching vertex and the candidate order are those of the plain
+search, so every depth finds the same first cover and the witnesses do
+not depend on the bounds.
 """
 
 from __future__ import annotations
@@ -34,27 +48,59 @@ def is_total_dominating(g: Graph, d) -> bool:
     return all(g.adj[v] & dmask for v in range(g.n))
 
 
-def _greedy_cover(adj: list[int], full: int) -> list[int]:
-    # classic max-gain greedy; terminates because no vertex is isolated
-    uncovered = full
+def _greedy_cover(adj: list[int], uncovered: int, limit: int) -> list[int] | None:
+    """Max-gain greedy cover of `uncovered`, ties to the lowest vertex.
+
+    Returns None when it needs more than `limit` picks or gets stuck on
+    vertices that nothing covers.
+    """
     chosen: list[int] = []
     while uncovered:
+        if len(chosen) == limit:
+            return None
         best_v = -1
         best_gain = 0
-        for v in range(len(adj)):
-            gain = (adj[v] & uncovered).bit_count()
+        for v, a in enumerate(adj):
+            gain = (a & uncovered).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
+        if best_v < 0:
+            return None
         chosen.append(best_v)
         uncovered &= ~adj[best_v]
     return chosen
 
 
-def _cover_search(adj: list[int], uncovered: int, budget: int, chosen: list[int]) -> list[int] | None:
+def _packing_order(adj: list[int]) -> list[tuple[int, int]]:
+    # (vertex bit, neighborhood) pairs by ascending degree: low-degree
+    # vertices first leave the most room for further disjoint picks
+    order = sorted(range(len(adj)), key=lambda v: adj[v].bit_count())
+    return [(1 << v, adj[v]) for v in order]
+
+
+def _packing(order: list[tuple[int, int]], uncovered: int, stop: int) -> int:
+    """Count uncovered vertices with pairwise disjoint neighborhoods, up
+    to the first count past `stop`.  Each needs a dominator of its own."""
+    taken = 0
+    count = 0
+    for bit, nb in order:
+        if uncovered & bit and not nb & taken:
+            count += 1
+            if count > stop:
+                break
+            taken |= nb
+    return count
+
+
+def _cover_search(
+    adj: list[int], order: list[tuple[int, int]], uncovered: int, budget: int, chosen: list[int]
+) -> list[int] | None:
     """Find <= budget vertices whose neighborhoods cover `uncovered`, else None."""
     if not uncovered:
         return list(chosen)
     if budget == 0:
+        return None
+    if _packing(order, uncovered, budget) > budget:
         return None
     max_gain = 0
     for a in adj:
@@ -80,7 +126,7 @@ def _cover_search(adj: list[int], uncovered: int, budget: int, chosen: list[int]
     cands = sorted(_bits(adj[best_v]), key=lambda u: -(adj[u] & uncovered).bit_count())
     for u in cands:
         chosen.append(u)
-        got = _cover_search(adj, uncovered & ~adj[u], budget - 1, chosen)
+        got = _cover_search(adj, order, uncovered & ~adj[u], budget - 1, chosen)
         chosen.pop()
         if got is not None:
             return got
@@ -98,10 +144,11 @@ def gamma_t(g: Graph) -> DominationCertificate:
         raise IsolatedVertexError("total domination is undefined with isolated vertices")
     adj = list(g.adj)
     full = (1 << g.n) - 1
-    best = _greedy_cover(adj, full)
-    lb = max(2, -(-g.n // g.max_degree()))
+    order = _packing_order(adj)
+    best = _greedy_cover(adj, full, g.n)
+    lb = max(2, -(-g.n // g.max_degree()), _packing(order, full, g.n))
     for k in range(lb, len(best)):
-        got = _cover_search(adj, full, k, [])
+        got = _cover_search(adj, order, full, k, [])
         if got is not None:
             best = got
             break
@@ -111,22 +158,9 @@ def gamma_t(g: Graph) -> DominationCertificate:
 def _exists_cover(adj: list[int], full: int, size: int) -> bool:
     # greedy shortcut first: covers the common case where deletion did
     # not raise the domination number
-    uncovered = full
-    used = 0
-    while uncovered and used < size:
-        best_gain = 0
-        best_v = -1
-        for v in range(len(adj)):
-            gain = (adj[v] & uncovered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_v < 0:
-            return False  # an uncovered vertex has no neighbor at all
-        uncovered &= ~adj[best_v]
-        used += 1
-    if not uncovered:
+    if _greedy_cover(adj, full, size) is not None:
         return True
-    return _cover_search(adj, full, size, []) is not None
+    return _cover_search(adj, _packing_order(adj), full, size, []) is not None
 
 
 def exists_total_dominating_set(g: Graph, size: int) -> bool:

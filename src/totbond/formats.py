@@ -264,7 +264,14 @@ def sniff_format(data: bytes, path: str | None = None) -> str:
 def read_graphs(path: str, fmt: str | None = None) -> list[Graph]:
     """Read every graph in a file, sniffing the format unless given."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return parse_graphs(fh.read(), fmt, path)
+
+
+def parse_graphs(data: bytes, fmt: str | None = None, path: str | None = None) -> list[Graph]:
+    """Parse every graph in raw bytes, sniffing the format unless given.
+
+    `path`, when known, only lends its extension to the sniffing.
+    """
     if fmt is None:
         fmt = sniff_format(data, path)
     if fmt == "graph6":

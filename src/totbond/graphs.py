@@ -101,9 +101,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj[v]))
 
-    def neighbor_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if not self.adj[v])
 
@@ -224,9 +221,6 @@ class Graph:
             raise ValueError(f"edge ({u}, {v}) not present")
         du, dv = self.degree(u), self.degree(v)
         return (du, dv) if du <= dv else (dv, du)
-
-    def degree_profile(self) -> "DegreeProfile":
-        return DegreeProfile.from_graph(self)
 
     # -- induced cycle search -------------------------------------------------
 

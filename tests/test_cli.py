@@ -49,6 +49,27 @@ class TestScalarCommands:
         assert "gamma_t=3" in lines[0]
         assert "gamma_t=2" in lines[1]
 
+    def test_stdin_is_parsed_in_memory(self, capsys, graph_file, monkeypatch):
+        import builtins
+        import io
+
+        f = graph_file(path(5), cycle(4))
+        assert main(["gamma-t", f]) == 0
+        from_file = capsys.readouterr().out
+        with open(f, "rb") as fh:
+            data = fh.read()
+
+        real_open = builtins.open
+
+        def no_writes(file, mode="r", *args, **kwargs):
+            assert not set(mode) & set("wax+"), f"opened {file!r} for writing"
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_writes)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["gamma-t", "-"]) == 0
+        assert capsys.readouterr().out == from_file
+
     def test_bondage(self, capsys, graph_file):
         assert main(["bondage", graph_file(cycle(6))]) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from oracles import brute_gamma_t
 from totbond.domination import (
     DominationCertificate,
+    _packing,
+    _packing_order,
     exists_total_dominating_set,
     gamma_t,
     is_total_dominating,
@@ -110,6 +112,36 @@ class TestExistenceQueries:
 
     def test_negative_size(self):
         assert not exists_total_dominating_set(path(3), -1)
+
+    def test_every_size_against_oracle(self):
+        # the packing bound may only cut subtrees that hold no cover, so
+        # it never exceeds gamma_t and the yes/no answer matches the
+        # subset sweep at every size
+        for n in range(2, 8):
+            for g in enumerate_graph_classes(n):
+                if not g.is_connected():
+                    continue
+                want = brute_gamma_t(g)
+                order = _packing_order(list(g.adj))
+                assert _packing(order, (1 << g.n) - 1, g.n) <= want
+                for k in range(g.n + 1):
+                    assert exists_total_dominating_set(g, k) == (k >= want), (g, k)
+
+
+class TestPackingBound:
+    def test_disjoint_neighborhoods_need_their_own_dominators(self):
+        # P6: N(0) = {1} and N(5) = {4} are disjoint, so one vertex
+        # cannot cover both; vertex 2's N = {1, 3} meets N(0)
+        order = _packing_order(list(path(6).adj))
+        assert _packing(order, 0b100001, 6) == 2
+        assert _packing(order, 0b000101, 6) == 1
+        # counting stops once it passes `stop`
+        assert _packing(order, 0b111111, 0) == 1
+
+    def test_ascending_degree_order(self):
+        # ties keep vertex order
+        order = _packing_order(list(path(4).adj))
+        assert [bit.bit_length() - 1 for bit, _ in order] == [0, 3, 1, 2]
 
 
 class TestIsolatedVertices:

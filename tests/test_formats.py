@@ -19,6 +19,7 @@ from totbond.formats import (
     parse_graph6,
     planar_code_bytes,
     read_embeddings,
+    parse_graphs,
     read_graphs,
     sniff_format,
     write_graph6,
@@ -158,6 +159,14 @@ class TestDispatch:
         write_graph6([path(4), cycle(6)], buf)
         p.write_bytes(buf.getvalue())
         assert list(read_graphs(str(p))) == [path(4), cycle(6)]
+
+    def test_parse_graphs_matches_read_graphs(self, tmp_path):
+        p = tmp_path / "batch"
+        buf = io.BytesIO()
+        write_graph6([path(4), cycle(6)], buf)
+        p.write_bytes(buf.getvalue())
+        assert parse_graphs(buf.getvalue()) == read_graphs(str(p)) == [path(4), cycle(6)]
+        assert parse_graphs(b"0 1\n1 2\n") == [path(3)]
 
     def test_planar_code_file(self, tmp_path):
         from totbond.corpus import cube

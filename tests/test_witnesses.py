@@ -227,6 +227,25 @@ class TestAnchorsAndDispatch:
     def test_scan_is_deterministic(self):
         assert scan_witnesses(cycle(6)) == scan_witnesses(cycle(6))
 
+    def test_scan_solves_and_encodes_each_graph_once(self, monkeypatch):
+        from totbond import witnesses
+        from totbond.corpus import cube
+
+        g = cube()
+        solved, encoded = [], []
+        real_gamma, real_g6 = witnesses.gamma_t, witnesses.graph6_bytes
+        monkeypatch.setattr(witnesses, "gamma_t", lambda h: solved.append(h) or real_gamma(h))
+        monkeypatch.setattr(witnesses, "graph6_bytes", lambda h: encoded.append(h) or real_g6(h))
+        reports = scan_witnesses(g)
+        replayed = [r for r in reports if r.isolate_free]
+        assert len(reports) > 1 and replayed
+        assert solved.count(g) == 1
+        # one further solve per replay on the graph minus the edge set
+        assert len(solved) == 1 + len(replayed)
+        assert encoded == [g]
+        monkeypatch.undo()
+        assert reports == [apply_rule(g, r.rule, r.anchors) for r in reports]
+
 
 class TestSoundnessSweep:
     def test_valid_verdicts_are_true_bondage_sets(self):
