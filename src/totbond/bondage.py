@@ -11,12 +11,35 @@ gamma_t = 2c; the largest such c equals nu(G).  When the criterion
 fails no edge deletion can push gamma_t above its ceiling, so b_t is
 infinite.  The criterion is validated exhaustively at small orders by
 the test suite before anything relies on it.
+
+The sweep walks colex order depth first.  For each largest edge in
+ascending order come the subsets of the edges below it, so a node -- a
+fixed set U of the largest chosen edges, with j edges still to pick
+below index hi -- holds C(hi, j) consecutive subsets of the sweep.  A
+node is skipped whole, its C(hi, j) subsets still counted as examined,
+when G - U already has an isolated vertex, or when some pooled minimum
+total dominating set D survives U and no j further deletions below hi
+can kill it.  D is killed when some vertex v loses all of its D-edges;
+edge indices grow with the neighbor (edges are in lexicographic order),
+so v's largest remaining D-neighbor says whether all of v's D-edges lie
+below hi, and their number is what killing v costs.  With one edge left
+(j = 1) only the edges that kill every surviving pooled set are tried,
+each at its own place in the sweep.  The exact cover solver runs only
+when no pooled set survives, and every cover it finds joins the pool.
+
+A skipped block holds no bondage set and a tried edge is the only kind
+that can finish one, so the walk meets bondage sets in the order the
+plain sweep does and returns the same first witness.  work_budget counts
+the same subsets: a skip that runs past it stops the search at the level
+the plain sweep would stop at, with the same cap.  The pool is the
+surviving-set cache of the implicit hitting set method (Moreno-Centeno
+and Karp, Oper. Res. 61(2), 2013), kept under the plain sweep's order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import comb
 
 from .domination import _exists_cover, gamma_t
 from .graphs import Edge, Graph, _bits
@@ -26,6 +49,21 @@ INFINITE_CRITERION = "2*max_matching <= gamma_t"
 # staged search never looks past max degree + 9 edges unless told to:
 # deep enough for every bound this package checks, with headroom
 DEFAULT_CAP_SLACK = 9
+
+
+@dataclass(frozen=True)
+class BondageStats:
+    """What one bondage search did.
+
+    examined counts the subsets of the sweep order ruled on, whether one
+    by one or inside a skipped block (the work budget when that ran
+    out); exact_calls counts exact cover solves; skipped_subtrees counts
+    blocks ruled out without a visit.
+    """
+
+    examined: int
+    exact_calls: int
+    skipped_subtrees: int
 
 
 @dataclass(frozen=True)
@@ -45,6 +83,7 @@ class BondageCertificate:
     gamma_after: int | None
     cap: int | None = None
     criterion: str | None = None
+    stats: BondageStats | None = field(default=None, compare=False)
 
     def value(self) -> float:
         if self.status == "finite":
@@ -149,29 +188,176 @@ def bondage_finite(g: Graph) -> bool:
     return 2 * max_matching_size(g) > gamma_t(g).value
 
 
-def colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of range(m), ascending inside, colex across."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, m):
-        for rest in colex_subsets(top, k - 1):
-            yield (*rest, top)
+class _OutOfBudget(Exception):
+    """The work budget ran out inside the level being swept."""
+
+
+class _Sweep:
+    """Depth-first walk over the colex order of edge subsets.
+
+    The walk holds U, the largest edges chosen so far, as deletions in
+    `adj`/`deg`, with their indices in `chosen`.  A node (U, j, hi) stands
+    for the C(hi, j) consecutive subsets that add j edges below hi to U.
+    `pool` holds minimum TDSs as vertex masks; each node on the path
+    keeps, in `stack`, the list of pooled sets that survive its U, and a
+    set the exact solver finds joins every list on the path (it survives
+    every U there, since deleting fewer edges keeps it dominating).
+    """
+
+    def __init__(
+        self, g: Graph, edges: tuple[Edge, ...], gv: int, tds: frozenset[int], work_budget: int | None
+    ):
+        n = g.n
+        self.n = n
+        self.edges = edges
+        self.adj = list(g.adj)
+        self.deg = list(g.degrees())
+        self.full = (1 << n) - 1
+        self.gv = gv
+        self.budget = work_budget
+        ebit = [0] * (n * n)  # 1 << (index of edge {u, v}) at u*n+v and v*n+u
+        for i, (u, v) in enumerate(edges):
+            ebit[u * n + v] = ebit[v * n + u] = 1 << i
+        self.ebit = ebit
+        self.pool = [sum(1 << v for v in tds)]
+        self.stack: list[list[int]] = []
+        self.chosen: list[int] = []
+        self.examined = 0
+        self.exact_calls = 0
+        self.skipped = 0
+
+    def level(self, k: int) -> frozenset[Edge] | None:
+        """The first bondage set of size k in colex order, else None.
+
+        Raises _OutOfBudget when the budget ends before that set, or
+        before the level's end when it holds none.
+        """
+        return self._visit(k, len(self.edges), self.pool)
+
+    def stats(self) -> BondageStats:
+        return BondageStats(self.examined, self.exact_calls, self.skipped)
+
+    def _visit(self, j: int, hi: int, alive: list[int]) -> frozenset[Edge] | None:
+        self.stack.append(alive)
+        if not alive:
+            # every smaller size was swept, so the isolate-free G - U is no
+            # bondage set and has a TDS of size gamma_t
+            self._add(self._solve())
+        found = self._last_edge(hi, alive) if j == 1 else self._inner(j, hi, alive)
+        self.stack.pop()
+        return found
+
+    def _inner(self, j: int, hi: int, alive: list[int]) -> frozenset[Edge] | None:
+        if not all(self._killable(d, j, hi) for d in alive):
+            return self._skip(comb(hi, j))
+        adj, deg, edges = self.adj, self.deg, self.edges
+        for top in range(j - 1, hi):
+            u, v = edges[top]
+            if deg[u] == 1 or deg[v] == 1:  # every subset below isolates u or v
+                self._skip(comb(top, j - 1))
+                continue
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            deg[u] -= 1
+            deg[v] -= 1
+            au, av = adj[u], adj[v]
+            self.chosen.append(top)
+            found = self._visit(j - 1, top, [d for d in alive if au & d and av & d])
+            self.chosen.pop()
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            deg[u] += 1
+            deg[v] += 1
+            if found is not None:
+                return found
+        return None
+
+    def _killable(self, d: int, j: int, hi: int) -> bool:
+        # some vertex can lose all of its D-edges to j deletions below hi:
+        # edge indices grow with the neighbor, so its largest D-neighbor
+        # says whether all of them lie below hi
+        n, ebit, below = self.n, self.ebit, 1 << hi
+        for v, a in enumerate(self.adj):
+            r = a & d
+            if r.bit_count() <= j and ebit[v * n + r.bit_length() - 1] < below:
+                return True
+        return False
+
+    def _kills(self, d: int) -> int:
+        """Mask of the edges whose deletion strips a vertex of its last D-edge."""
+        n, ebit = self.n, self.ebit
+        out = 0
+        for v, a in enumerate(self.adj):
+            r = a & d
+            if not r & (r - 1):
+                out |= ebit[v * n + r.bit_length() - 1]
+        return out
+
+    def _last_edge(self, hi: int, alive: list[int]) -> frozenset[Edge] | None:
+        # only an edge that kills every surviving TDS can finish a bondage set
+        rest = (1 << hi) - 1
+        for d in alive:
+            rest &= self._kills(d)
+            if not rest:
+                return self._skip(hi)
+        adj, deg, edges = self.adj, self.deg, self.edges
+        base = self.examined
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            self._advance(base + x + 1)
+            u, v = edges[x]
+            if deg[u] == 1 or deg[v] == 1:
+                continue
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            cover = self._solve()
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            if cover is None:
+                return frozenset(edges[i] for i in (*self.chosen, x))
+            rest &= self._kills(self._add(cover))
+        self._advance(base + hi)
+        return None
+
+    def _skip(self, size: int) -> None:
+        self.skipped += 1
+        self._advance(self.examined + size)
+
+    def _advance(self, examined: int) -> None:
+        """Move past the first `examined` subsets of the sweep, or stop
+        at the budget's end."""
+        if self.budget is not None and examined > self.budget:
+            self.examined = self.budget
+            raise _OutOfBudget
+        self.examined = examined
+
+    def _solve(self) -> list[int] | None:
+        self.exact_calls += 1
+        return _exists_cover(self.adj, self.full, self.gv)
+
+    def _add(self, cover: list[int]) -> int:
+        d = sum(1 << v for v in cover)
+        for alive in self.stack:
+            alive.append(d)
+        return d
 
 
 def bondage(g: Graph, cap: int | None = None, work_budget: int | None = None) -> BondageCertificate:
     """Compute b_t(g) by staged subset search, up to cap edge deletions.
 
     cap defaults to min(m, max_degree + 9).  work_budget, if given,
-    limits the number of candidate subsets examined; exhausting it
-    yields an unknown-above-cap certificate whose cap is the last fully
-    completed size.
+    limits the number of candidate subsets examined, counting those in
+    skipped blocks; exhausting it yields an unknown-above-cap
+    certificate whose cap is the last fully completed size.
     """
     before = gamma_t(g)  # raises on isolated vertices
     gv = before.value
     if 2 * max_matching_size(g) <= gv:
         return BondageCertificate(
-            "infinite", None, None, gv, None, criterion=INFINITE_CRITERION
+            "infinite", None, None, gv, None, criterion=INFINITE_CRITERION,
+            stats=BondageStats(0, 0, 0),
         )
     edges = g.edges()
     m = len(edges)
@@ -179,31 +365,20 @@ def bondage(g: Graph, cap: int | None = None, work_budget: int | None = None) ->
         cap_eff = min(m, g.max_degree() + DEFAULT_CAP_SLACK)
     else:
         cap_eff = max(0, min(cap, m))
-    adj0 = list(g.adj)
-    degs = list(g.degrees())
-    full = (1 << g.n) - 1
-    examined = 0
+    sweep = _Sweep(g, edges, gv, before.witness, work_budget)
     for k in range(1, cap_eff + 1):
-        for combo in colex_subsets(m, k):
-            examined += 1
-            if work_budget is not None and examined > work_budget:
-                return BondageCertificate(
-                    "unknown-above-cap", None, None, gv, None, cap=k - 1
-                )
-            removed: dict[int, int] = {}
-            for idx in combo:
-                u, v = edges[idx]
-                removed[u] = removed.get(u, 0) + 1
-                removed[v] = removed.get(v, 0) + 1
-            if any(degs[x] == c for x, c in removed.items()):
-                continue  # deletion would isolate x
-            adj = adj0[:]
-            for idx in combo:
-                u, v = edges[idx]
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-            if not _exists_cover(adj, full, gv):
-                witness = frozenset(edges[idx] for idx in combo)
-                after = gamma_t(g.delete_edges(witness))
-                return BondageCertificate("finite", k, witness, gv, after.value)
-    return BondageCertificate("unknown-above-cap", None, None, gv, None, cap=cap_eff)
+        try:
+            witness = sweep.level(k)
+        except _OutOfBudget:
+            return BondageCertificate(
+                "unknown-above-cap", None, None, gv, None, cap=k - 1,
+                stats=sweep.stats(),
+            )
+        if witness is not None:
+            after = gamma_t(g.delete_edges(witness))
+            return BondageCertificate(
+                "finite", k, witness, gv, after.value, stats=sweep.stats()
+            )
+    return BondageCertificate(
+        "unknown-above-cap", None, None, gv, None, cap=cap_eff, stats=sweep.stats()
+    )

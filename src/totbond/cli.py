@@ -36,6 +36,12 @@ from .witnesses import (
 
 _RANGE = re.compile(r"^(paths|cycles|trees):(\d+)\.\.(\d+)$")
 
+_BUDGET_HELP = (
+    "max edge subsets of the bondage sweep to examine, in sweep order; subsets "
+    "in blocks the search rules out without a visit count too, so the budget "
+    "stops the search where a subset-by-subset sweep would stop"
+)
+
 
 def _g6(g: Graph) -> str:
     return graph6_bytes(g).decode("ascii")
@@ -317,7 +323,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("bondage", help="exact total bondage numbers with certificates")
     p.add_argument("input")
     p.add_argument("--cap", type=int, help="largest deletion size to search")
-    p.add_argument("--work-budget", type=int, help="max candidate subsets to examine")
+    p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
     p.set_defaults(func=_cmd_bondage)
 
     p = sub.add_parser("witness", help="build and replay bondage edge-set witnesses")
@@ -343,20 +349,20 @@ def main(argv=None) -> int:
     p = sub.add_parser("campaign", help="verify a tagged claim over a corpus")
     p.add_argument("--theorem", required=True, choices=THEOREM_TAGS)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--work-budget", type=int)
+    p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("search", help="find corpus graphs with a given bondage number")
     p.add_argument("--bt", type=int, required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--work-budget", type=int)
+    p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("bounds", help="check published bounds against exact values")
     p.add_argument("input")
-    p.add_argument("--work-budget", type=int)
+    p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
     p.set_defaults(func=_cmd_bounds)
 
     args = parser.parse_args(argv)

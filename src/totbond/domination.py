@@ -155,12 +155,14 @@ def gamma_t(g: Graph) -> DominationCertificate:
     return DominationCertificate(len(best), frozenset(best))
 
 
-def _exists_cover(adj: list[int], full: int, size: int) -> bool:
+def _exists_cover(adj: list[int], full: int, size: int) -> list[int] | None:
+    """A cover of `full` by at most `size` neighborhoods, else None."""
     # greedy shortcut first: covers the common case where deletion did
     # not raise the domination number
-    if _greedy_cover(adj, full, size) is not None:
-        return True
-    return _cover_search(adj, _packing_order(adj), full, size, []) is not None
+    got = _greedy_cover(adj, full, size)
+    if got is not None:
+        return got
+    return _cover_search(adj, _packing_order(adj), full, size, [])
 
 
 def exists_total_dominating_set(g: Graph, size: int) -> bool:
@@ -169,4 +171,4 @@ def exists_total_dominating_set(g: Graph, size: int) -> bool:
         raise IsolatedVertexError("total domination is undefined with isolated vertices")
     if size < 0:
         return False
-    return _exists_cover(list(g.adj), (1 << g.n) - 1, size)
+    return _exists_cover(list(g.adj), (1 << g.n) - 1, size) is not None

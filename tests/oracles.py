@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
 from totbond.graphs import Graph
 
@@ -90,6 +91,74 @@ def brute_has_bondage_set(g: Graph) -> bool:
             if not exists_total_dominating_set(h, base):
                 return True
     return False
+
+
+def colex_subsets(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All k-subsets of range(m), ascending inside, colex across."""
+    if k == 0:
+        yield ()
+        return
+    for top in range(k - 1, m):
+        for rest in colex_subsets(top, k - 1):
+            yield (*rest, top)
+
+
+def colex_bondage(g: Graph, cap: int | None = None, work_budget: int | None = None):
+    """Total bondage by the plain per-subset colex sweep.
+
+    Every subset is visited and counted against work_budget one by one,
+    and every isolate-free one is put to the exact cover solver.  The
+    subtree-skipping `totbond.bondage.bondage` must return an equal
+    certificate for every (graph, cap, work_budget).
+    """
+    from totbond.bondage import (
+        DEFAULT_CAP_SLACK,
+        INFINITE_CRITERION,
+        BondageCertificate,
+        max_matching_size,
+    )
+    from totbond.domination import _exists_cover, gamma_t
+
+    before = gamma_t(g)  # raises on isolated vertices
+    gv = before.value
+    if 2 * max_matching_size(g) <= gv:
+        return BondageCertificate(
+            "infinite", None, None, gv, None, criterion=INFINITE_CRITERION
+        )
+    edges = g.edges()
+    m = len(edges)
+    if cap is None:
+        cap_eff = min(m, g.max_degree() + DEFAULT_CAP_SLACK)
+    else:
+        cap_eff = max(0, min(cap, m))
+    adj0 = list(g.adj)
+    degs = list(g.degrees())
+    full = (1 << g.n) - 1
+    examined = 0
+    for k in range(1, cap_eff + 1):
+        for combo in colex_subsets(m, k):
+            examined += 1
+            if work_budget is not None and examined > work_budget:
+                return BondageCertificate(
+                    "unknown-above-cap", None, None, gv, None, cap=k - 1
+                )
+            removed: dict[int, int] = {}
+            for idx in combo:
+                u, v = edges[idx]
+                removed[u] = removed.get(u, 0) + 1
+                removed[v] = removed.get(v, 0) + 1
+            if any(degs[x] == c for x, c in removed.items()):
+                continue  # deletion would isolate x
+            adj = adj0[:]
+            for idx in combo:
+                u, v = edges[idx]
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+            if _exists_cover(adj, full, gv) is None:
+                witness = frozenset(edges[idx] for idx in combo)
+                after = gamma_t(g.delete_edges(witness))
+                return BondageCertificate("finite", k, witness, gv, after.value)
+    return BondageCertificate("unknown-above-cap", None, None, gv, None, cap=cap_eff)
 
 
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -3,7 +3,9 @@
 The finiteness criterion (a bondage set exists iff twice the matching
 number exceeds gamma_t) is validated exhaustively on every connected
 isolate-free graph with n <= 7 and m <= 12 before anything else trusts
-it; the same corpus drives the search cross-check.
+it; the same corpus drives the search cross-check.  The subtree-skipping
+search is held to the per-subset colex sweep it replaced
+(`oracles.colex_bondage`): equal certificates for every cap and budget.
 """
 
 import math
@@ -12,19 +14,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_bondage, brute_has_bondage_set, brute_max_matching
+from oracles import (
+    brute_bondage,
+    brute_has_bondage_set,
+    brute_max_matching,
+    colex_bondage,
+    colex_subsets,
+)
 from totbond.bondage import (
     DEFAULT_CAP_SLACK,
     INFINITE_CRITERION,
     BondageCertificate,
+    BondageStats,
+    _Sweep,
     bondage,
     bondage_finite,
-    colex_subsets,
     max_matching_size,
 )
+from totbond.corpus import cube, icosahedron, planar_min3_corpus
 from totbond.families import complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError
 from totbond.smallgraphs import enumerate_graph_classes
+from totbond.trees import enumerate_trees
 
 
 def connected_isolate_free(max_n, max_m=None):
@@ -192,3 +203,124 @@ class TestCapAndBudget:
     def test_isolates_rejected(self):
         with pytest.raises(IsolatedVertexError):
             bondage(Graph.from_edges(3, [(0, 1)]))
+
+
+CAPS = (None, 0, 1, 2, 3, 4)
+BUDGETS = (None, 1, 2, 3, 5, 10, 30, 100, 1000)
+GRID = [(cap, budget) for cap in CAPS for budget in BUDGETS]
+
+
+def level_start(m, k):
+    """Subsets of sizes 1..k-1 that precede size k in the sweep."""
+    return sum(math.comb(m, i) for i in range(1, k))
+
+
+class TestAgainstColexSweep:
+    """Same witness, same cap, same status as the per-subset sweep."""
+
+    def check(self, g, cap, budget):
+        got = bondage(g, cap=cap, work_budget=budget)
+        assert got == colex_bondage(g, cap=cap, work_budget=budget), (g.edges(), cap, budget)
+        return got
+
+    def test_connected_up_to_six_full_grid(self):
+        for g in connected_isolate_free(6):
+            for cap, budget in GRID:
+                self.check(g, cap, budget)
+
+    def test_connected_seven_sampled_grid(self):
+        # every graph meets 6 of the 54 grid points, every point ~95 graphs
+        graphs = [g for g in enumerate_graph_classes(7) if g.is_connected()]
+        for i, g in enumerate(graphs):
+            for j, (cap, budget) in enumerate(GRID):
+                if (i + j) % 9 == 0:
+                    self.check(g, cap, budget)
+
+    def test_trees_up_to_ten(self):
+        for n in range(2, 11):
+            for g in enumerate_trees(n):
+                for cap, budget in GRID:
+                    self.check(g, cap, budget)
+
+    def test_planar_min3_up_to_ten(self):
+        graphs = [g for g in planar_min3_corpus() if g.n <= 10]
+        assert graphs
+        for g in graphs:
+            for cap, budget in GRID:
+                self.check(g, cap, budget)
+
+
+class TestBudgetBoundaries:
+    def test_budget_ends_at_level_end(self):
+        # b_t(C6) = 3: a budget covering sizes 1 and 2 exactly completes
+        # level 2, and the first size-3 subset is one too many
+        g = cycle(6)
+        end2 = level_start(6, 3)
+        cert = bondage(g, work_budget=end2)
+        assert cert == colex_bondage(g, work_budget=end2)
+        assert (cert.status, cert.cap) == ("unknown-above-cap", 2)
+        assert bondage(g, work_budget=level_start(6, 2)).cap == 1
+
+    def test_budget_ends_on_level_first_subset(self):
+        g = cycle(6)
+        first3 = level_start(6, 3) + 1  # {0, 1, 2} isolates vertex 0
+        cert = bondage(g, work_budget=first3)
+        assert cert == colex_bondage(g, work_budget=first3)
+        assert (cert.status, cert.cap) == ("unknown-above-cap", 2)
+        # P5 labelled 1-3-0-4-2: the level's first subset {(0, 3)} is
+        # the witness, so it fits a budget of one and not of zero
+        p5 = Graph.from_edges(5, [(0, 3), (0, 4), (1, 3), (2, 4)])
+        assert bondage(p5, work_budget=1).witness == frozenset({(0, 3)})
+        assert bondage(p5, work_budget=1) == colex_bondage(p5, work_budget=1)
+        cert = bondage(p5, work_budget=0)
+        assert (cert.status, cert.cap) == ("unknown-above-cap", 0)
+
+    def test_budget_ends_inside_skipped_subtree(self, monkeypatch):
+        # record every block the search rules out without a visit, then
+        # end the budget strictly inside each block of 2 or more subsets
+        blocks = []
+        real_skip = _Sweep._skip
+
+        def record(sweep, size):
+            blocks.append((sweep.examined, size))
+            return real_skip(sweep, size)
+
+        for g in (cycle(6), complete_bipartite(3, 3), cube()):
+            blocks.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(_Sweep, "_skip", record)
+                bondage(g)
+            inside = sorted({start + (size + 1) // 2 for start, size in blocks if size >= 2})
+            assert inside, g.edges()
+            for budget in inside:
+                cert = bondage(g, work_budget=budget)
+                assert cert.status == "unknown-above-cap"
+                assert cert == colex_bondage(g, work_budget=budget)
+
+    def test_every_budget_small_graphs(self):
+        for g in (cycle(6), complete_bipartite(3, 3), path(6)):
+            total = bondage(g).stats.examined
+            for budget in range(total + 2):
+                assert bondage(g, work_budget=budget) == colex_bondage(g, work_budget=budget)
+
+    def test_icosahedron_stays_budget_skipped(self):
+        # b_t = 8 lies past the sizes a 200000-subset budget completes;
+        # the per-subset sweep (oracles.colex_bondage) makes ~200k exact solves here
+        cert = bondage(icosahedron(), work_budget=200000)
+        assert (cert.status, cert.cap) == ("unknown-above-cap", 5)
+        assert cert.stats.examined == 200000
+        assert cert.stats.exact_calls < 100
+        assert cert.stats.skipped_subtrees > 0
+
+
+class TestStats:
+    def test_stats_do_not_affect_equality(self):
+        cert = bondage(cycle(6))
+        assert cert.stats.examined > 0
+        assert cert == BondageCertificate(
+            cert.status, cert.b_t, cert.witness, cert.gamma_before, cert.gamma_after,
+            stats=BondageStats(0, 0, 0),
+        )
+
+    def test_infinite_does_no_search(self):
+        assert bondage(cycle(3)).stats == BondageStats(0, 0, 0)
