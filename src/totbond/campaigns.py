@@ -2,10 +2,11 @@
 
 A campaign pairs a hypothesis filter with a bound (or a detector) and
 sweeps a corpus: graphs outside the hypothesis are recorded as skipped,
-graphs inside are judged by the exact solver.  Output is one RECORD
-line per graph, keyed by the full graph6 string so any line can be
-replayed, plus one SUMMARY line.  Nothing is sampled; a campaign with a
-work budget marks budget-cut graphs as skipped rather than guessing.
+graphs inside are judged by the exact solver.  THEOREMS defines every
+tag this way, one entry each.  Output is one RECORD line per graph,
+keyed by the full graph6 string so any line can be replayed, plus one
+SUMMARY line.  Nothing is sampled; a campaign with a work budget marks
+budget-cut graphs as skipped rather than guessing.
 """
 
 from __future__ import annotations
@@ -14,27 +15,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
+from . import planar
 from .bondage import BondageCertificate, bondage
-from .formats import graph6_bytes
+from .formats import edges_text, graph6_bytes
 from .graphs import Graph
 from .smallgraphs import is_isomorphic
 from .families import star, subdivided_star
-
-THEOREM_TAGS = (
-    "thm-paths",
-    "thm-cycles",
-    "thm-bipartite",
-    "thm-multipartite",
-    "thm-tree-rad",
-    "thm-tree-sridharan",
-    "thm-tree-n23",
-    "thm-dist2-d1",
-    "thm-planar-d8",
-    "thm-girth4-d3",
-    "config-g4",
-    "config-borodin",
-)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -97,8 +85,12 @@ def _g6(g: Graph) -> str:
     return graph6_bytes(g).decode("ascii")
 
 
+def _outcome(tag: str, g: Graph, status: str, detail) -> GraphOutcome:
+    return GraphOutcome(tag, _g6(g), g.n, g.m, status, tuple(detail))
+
+
 def _skip(tag: str, g: Graph, reason: str) -> GraphOutcome:
-    return GraphOutcome(tag, _g6(g), g.n, g.m, SKIPPED, (("reason", reason),))
+    return _outcome(tag, g, SKIPPED, (("reason", reason),))
 
 
 def _is_tree(g: Graph) -> bool:
@@ -149,225 +141,223 @@ def _multipartite_parts(g: Graph) -> tuple[int, ...] | None:
     return tuple(sorted(parts, reverse=True))
 
 
-def _bound_certificate(g: Graph, bound: int, work_budget: int | None) -> BondageCertificate:
+def _within(cert: BondageCertificate, bound: float) -> bool | None:
+    """Whether the certificate shows b_t <= bound.
+
+    None when the search stopped, at its cap or its work budget, before
+    it had tried every edge set of size up to bound.
+    """
+    if cert.status == "finite":
+        return cert.b_t <= bound
+    if cert.status == "unknown-above-cap" and (cert.cap is None or cert.cap < bound):
+        return None
+    # infinite, or every edge set up to the bound was searched and none worked
+    return False
+
+
+def _b_t_text(cert: BondageCertificate) -> object:
+    if cert.status == "finite":
+        return cert.b_t
+    return "inf" if cert.status == "infinite" else f">{cert.cap}"
+
+
+def _upper_bound(
+    tag: str, g: Graph, work_budget: int | None, *, bound, extra=lambda g: ()
+) -> GraphOutcome:
+    b = bound(g)
     # searching past the bound is wasted work: any completed level
     # above it already decides the verdict
-    return bondage(g, cap=min(bound, g.m), work_budget=work_budget)
-
-
-def _judge_upper_bound(
-    tag: str, g: Graph, bound: int, work_budget: int | None, extra: tuple = ()
-) -> GraphOutcome:
-    cert = _bound_certificate(g, bound, work_budget)
-    detail: list[tuple[str, object]] = [("bound", bound)]
-    detail.extend(extra)
+    top = min(b, g.m)
+    cert = bondage(g, cap=top, work_budget=work_budget)
+    within = _within(cert, top)
+    if within is None:
+        return _skip(tag, g, "work-budget")
+    detail = [("bound", b), *extra(g), ("b_t", _b_t_text(cert))]
     if cert.status == "finite":
-        detail.append(("b_t", cert.b_t))
-        detail.append(("witness", _render_edges(cert.witness)))
-        status = HOLDS if cert.b_t <= bound else VIOLATED
+        detail.append(("witness", edges_text(cert.witness)))
     elif cert.status == "infinite":
-        detail.append(("b_t", "inf"))
         detail.append(("criterion", cert.criterion.replace(" ", "-")))
-        status = VIOLATED
-    else:
-        if cert.cap is None or cert.cap < min(bound, g.m):
-            return _skip(tag, g, "work-budget")
-        # every subset up to min(bound, m) was searched and none worked,
-        # so b_t exceeds the bound; cap == m means none exists at all
-        detail.append(("b_t", f">{cert.cap}"))
-        if cert.cap >= g.m:
-            detail.append(("note", "exhausted-all-edge-subsets"))
-        status = VIOLATED
-    return GraphOutcome(tag, _g6(g), g.n, g.m, status, tuple(detail))
+    elif cert.cap >= g.m:  # no edge set of any size works
+        detail.append(("note", "exhausted-all-edge-subsets"))
+    return _outcome(tag, g, HOLDS if within else VIOLATED, detail)
 
 
-def _judge_exact_value(
-    tag: str, g: Graph, expected: float, work_budget: int | None
-) -> GraphOutcome:
-    detail: list[tuple[str, object]] = [("expected", "inf" if expected == math.inf else int(expected))]
-    if expected == math.inf:
-        cert = bondage(g, cap=0)
-        got = "inf" if cert.status == "infinite" else "finite-or-unknown"
-        status = HOLDS if cert.status == "infinite" else VIOLATED
-        detail.append(("got", got))
-        return GraphOutcome(tag, _g6(g), g.n, g.m, status, tuple(detail))
-    cert = bondage(g, cap=int(expected), work_budget=work_budget)
+def _exact_value(tag: str, g: Graph, work_budget: int | None, *, expected) -> GraphOutcome:
+    want = expected(g)
+    if want == math.inf:
+        infinite = bondage(g, cap=0).status == "infinite"
+        detail = [("expected", "inf"), ("got", "inf" if infinite else "finite-or-unknown")]
+        return _outcome(tag, g, HOLDS if infinite else VIOLATED, detail)
+    cert = bondage(g, cap=want, work_budget=work_budget)
+    within = _within(cert, min(want, g.m))
+    if within is None:
+        return _skip(tag, g, "work-budget")
+    detail = [("expected", want), ("got", _b_t_text(cert))]
     if cert.status == "finite":
-        detail.append(("got", cert.b_t))
-        detail.append(("witness", _render_edges(cert.witness)))
-        status = HOLDS if cert.b_t == expected else VIOLATED
-    elif cert.status == "infinite":
-        detail.append(("got", "inf"))
-        status = VIOLATED
-    else:
-        if cert.cap is not None and cert.cap >= min(int(expected), g.m):
-            detail.append(("got", f">{cert.cap}"))
-            status = VIOLATED
-        else:
-            return _skip(tag, g, "work-budget")
-    return GraphOutcome(tag, _g6(g), g.n, g.m, status, tuple(detail))
+        detail.append(("witness", edges_text(cert.witness)))
+    return _outcome(tag, g, HOLDS if within and cert.b_t == want else VIOLATED, detail)
 
 
-def _render_edges(edges) -> str:
-    if not edges:
-        return "-"
-    return ",".join(f"{u}-{v}" for u, v in sorted(edges))
+def _config_g4(tag: str, g: Graph, work_budget: int | None) -> GraphOutcome:
+    report = planar.detect_girth4_config(g)
+    detail = [("found", ",".join(report.tags) or "-")]
+    return _outcome(tag, g, HOLDS if report.at_least_one else VIOLATED, detail)
 
 
-def _t1_tree() -> Graph:
-    return subdivided_star((3, 0, 0))
+def _config_borodin(tag: str, g: Graph, work_budget: int | None) -> GraphOutcome:
+    # the detector needs the embedding, and computing it doubles as the
+    # planarity guard, so networkx runs once per graph
+    emb = planar.planar_embedding(g)
+    if emb is None:
+        return _skip(tag, g, _PLANAR.reason)
+    loose = planar.detect_borodin(g, emb, planar.AT_MOST)
+    strict = planar.detect_borodin(g, emb, planar.EXACT)
+    detail = [
+        ("found", ",".join(loose.tags) or "-"),
+        ("exact_reading", ",".join(strict.tags) or "-"),
+        ("skipped_faces", len(loose.skipped_faces)),
+    ]
+    return _outcome(tag, g, HOLDS if loose.at_least_one else VIOLATED, detail)
+
+
+class Hypothesis(NamedTuple):
+    reason: str  # the skip reason of a graph that fails it
+    holds: Callable[[Graph], bool]
+
+
+class Theorem(NamedTuple):
+    hypotheses: tuple[Hypothesis, ...]  # checked in order; the first failure is reported
+    judge: Callable[[str, Graph, int | None], GraphOutcome]
+
+
+# Guards look Graph methods and planar functions up at call time, so
+# wrappers installed on them (bench/tracing.py) see every call.
+_CONNECTED = Hypothesis("not-connected", lambda g: g.is_connected())
+_MIN_DEGREE_3 = Hypothesis("min-degree-below-3", lambda g: g.min_degree() >= 3)
+_GIRTH_4 = Hypothesis("girth-below-4", lambda g: g.girth() >= 4)
+_PLANAR = Hypothesis("not-planar", lambda g: planar.is_planar(g))
+_TREE = Hypothesis("not-a-tree", _is_tree)
+_MAX_DEGREE_3 = Hypothesis("max-degree-below-3", lambda g: g.max_degree() >= 3)
+_NOT_STAR = Hypothesis("star-excluded", lambda g: not _is_star(g))
+
+
+def _parts_of_2_or_more(g: Graph) -> bool:
+    return _multipartite_parts(g)[-1] >= 2
+
+
+def _two_close_2_vertices(g: Graph) -> bool:
+    twos = [v for v in range(g.n) if g.degree(v) == 2]
+    return any(
+        1 <= g.distance(a, b) <= 3
+        for i, a in enumerate(twos)
+        for b in twos[i + 1 :]
+    )
+
+
+# A judge checks an upper bound on b_t or an exact value of b_t, or runs
+# a configuration detector.
+THEOREMS: dict[str, Theorem] = {
+    "thm-paths": Theorem(
+        (Hypothesis("not-a-path", _is_path_graph),),
+        partial(_exact_value, expected=lambda g: (
+            math.inf if g.n <= 3 else 2 if g.n % 4 == 2 else 1)),
+    ),
+    "thm-cycles": Theorem(
+        (Hypothesis("not-a-cycle", _is_cycle_graph),),
+        partial(_exact_value, expected=lambda g: (
+            math.inf if g.n == 3 else 3 if g.n % 4 == 2 else 2)),
+    ),
+    "thm-bipartite": Theorem(
+        (
+            Hypothesis("not-complete-bipartite", lambda g: (
+                len(_multipartite_parts(g) or ()) == 2 and g.is_connected())),
+            Hypothesis("smaller-side-below-2", _parts_of_2_or_more),
+        ),
+        partial(_exact_value, expected=lambda g: _multipartite_parts(g)[-1]),
+    ),
+    "thm-multipartite": Theorem(
+        (
+            Hypothesis("not-complete-multipartite", lambda g: (
+                len(_multipartite_parts(g) or ()) >= 2 and g.is_connected())),
+            Hypothesis("a-part-below-2", _parts_of_2_or_more),
+        ),
+        partial(
+            _upper_bound,
+            bound=lambda g: 4 * g.n - 2 * _multipartite_parts(g)[0] - 2,
+            extra=lambda g: (("construction_size", 2 * g.n - 2 * _multipartite_parts(g)[0] - 2),),
+        ),
+    ),
+    "thm-tree-rad": Theorem(
+        (_TREE, _MAX_DEGREE_3, _NOT_STAR),
+        partial(_upper_bound, bound=lambda g: g.max_degree() - 1),
+    ),
+    "thm-tree-sridharan": Theorem(
+        (_TREE, _NOT_STAR),
+        partial(_upper_bound, bound=lambda g: min(g.max_degree(), (g.n - 1) // 3)),
+    ),
+    "thm-tree-n23": Theorem(
+        (
+            _TREE,
+            _MAX_DEGREE_3,
+            Hypothesis("excluded-k13", lambda g: not (
+                g.n == 4 and is_isomorphic(g, star(3)))),
+            Hypothesis("excluded-t1", lambda g: not (
+                g.n == 7 and is_isomorphic(g, subdivided_star((3, 0, 0))))),
+            _NOT_STAR,
+        ),
+        partial(_upper_bound, bound=lambda g: (g.n - 2) // 3),
+    ),
+    "thm-dist2-d1": Theorem(
+        (
+            _CONNECTED,
+            Hypothesis("min-degree-below-2", lambda g: g.min_degree() >= 2),
+            Hypothesis("no-2-vertices-within-distance-3", _two_close_2_vertices),
+        ),
+        partial(_upper_bound, bound=lambda g: g.max_degree() + 1),
+    ),
+    "thm-planar-d8": Theorem(
+        (_CONNECTED, _MIN_DEGREE_3, _PLANAR),
+        partial(
+            _upper_bound,
+            bound=lambda g: min(g.max_degree() + 8, 10),
+            extra=lambda g: (("branch_delta_plus_8", g.max_degree() + 8), ("branch_flat", 10)),
+        ),
+    ),
+    "thm-girth4-d3": Theorem(
+        (
+            _CONNECTED,
+            _MIN_DEGREE_3,
+            _GIRTH_4,
+            _PLANAR,
+            Hypothesis("has-low-degree-sum-edge", lambda g: all(
+                sum(g.classify_edge(u, v)) >= 8 for u, v in g.edges())),
+        ),
+        partial(_upper_bound, bound=lambda g: g.max_degree() + 3),
+    ),
+    "config-g4": Theorem((_CONNECTED, _MIN_DEGREE_3, _GIRTH_4, _PLANAR), _config_g4),
+    # not-planar is checked by the judge, on the embedding it needs
+    "config-borodin": Theorem((_CONNECTED, _MIN_DEGREE_3), _config_borodin),
+}
+THEOREM_TAGS = tuple(THEOREMS)
 
 
 def evaluate_theorem(tag: str, g: Graph, work_budget: int | None = None) -> GraphOutcome:
     """Judge one graph against one tagged claim."""
-    if tag == "thm-paths":
-        if not _is_path_graph(g):
-            return _skip(tag, g, "not-a-path")
-        if g.n <= 3:
-            return _judge_exact_value(tag, g, math.inf, work_budget)
-        expected = 2 if g.n % 4 == 2 else 1
-        return _judge_exact_value(tag, g, expected, work_budget)
+    if tag not in THEOREMS:
+        raise ValueError(f"unknown theorem tag {tag!r}")
+    hypotheses, judge = THEOREMS[tag]
+    for reason, holds in hypotheses:
+        if not holds(g):
+            return _skip(tag, g, reason)
+    return judge(tag, g, work_budget)
 
-    if tag == "thm-cycles":
-        if not _is_cycle_graph(g):
-            return _skip(tag, g, "not-a-cycle")
-        if g.n == 3:
-            return _judge_exact_value(tag, g, math.inf, work_budget)
-        expected = 3 if g.n % 4 == 2 else 2
-        return _judge_exact_value(tag, g, expected, work_budget)
 
-    if tag == "thm-bipartite":
-        parts = _multipartite_parts(g)
-        if parts is None or len(parts) != 2 or not g.is_connected():
-            return _skip(tag, g, "not-complete-bipartite")
-        if parts[-1] < 2:
-            return _skip(tag, g, "smaller-side-below-2")
-        return _judge_exact_value(tag, g, parts[-1], work_budget)
-
-    if tag == "thm-multipartite":
-        parts = _multipartite_parts(g)
-        if parts is None or len(parts) < 2 or not g.is_connected():
-            return _skip(tag, g, "not-complete-multipartite")
-        if parts[-1] < 2:
-            return _skip(tag, g, "a-part-below-2")
-        n1 = parts[0]
-        bound = 4 * g.n - 2 * n1 - 2
-        proof_size = 2 * g.n - 2 * n1 - 2
-        return _judge_upper_bound(
-            tag, g, bound, work_budget, extra=(("construction_size", proof_size),)
-        )
-
-    if tag == "thm-tree-rad":
-        if not _is_tree(g):
-            return _skip(tag, g, "not-a-tree")
-        if g.max_degree() < 3:
-            return _skip(tag, g, "max-degree-below-3")
-        if _is_star(g):
-            return _skip(tag, g, "star-excluded")
-        return _judge_upper_bound(tag, g, g.max_degree() - 1, work_budget)
-
-    if tag == "thm-tree-sridharan":
-        if not _is_tree(g):
-            return _skip(tag, g, "not-a-tree")
-        if _is_star(g):
-            return _skip(tag, g, "star-excluded")
-        bound = min(g.max_degree(), (g.n - 1) // 3)
-        return _judge_upper_bound(tag, g, bound, work_budget)
-
-    if tag == "thm-tree-n23":
-        if not _is_tree(g):
-            return _skip(tag, g, "not-a-tree")
-        if g.max_degree() < 3:
-            return _skip(tag, g, "max-degree-below-3")
-        if g.n == 4 and is_isomorphic(g, star(3)):
-            return _skip(tag, g, "excluded-k13")
-        if g.n == 7 and is_isomorphic(g, _t1_tree()):
-            return _skip(tag, g, "excluded-t1")
-        if _is_star(g):
-            return _skip(tag, g, "star-excluded")
-        return _judge_upper_bound(tag, g, (g.n - 2) // 3, work_budget)
-
-    if tag == "thm-dist2-d1":
-        if not g.is_connected():
-            return _skip(tag, g, "not-connected")
-        if g.min_degree() < 2:
-            return _skip(tag, g, "min-degree-below-2")
-        twos = [v for v in range(g.n) if g.degree(v) == 2]
-        if not any(
-            1 <= g.distance(a, b) <= 3
-            for i, a in enumerate(twos)
-            for b in twos[i + 1 :]
-        ):
-            return _skip(tag, g, "no-2-vertices-within-distance-3")
-        return _judge_upper_bound(tag, g, g.max_degree() + 1, work_budget)
-
-    if tag == "thm-planar-d8":
-        from .planar import is_planar
-
-        if not g.is_connected():
-            return _skip(tag, g, "not-connected")
-        if g.min_degree() < 3:
-            return _skip(tag, g, "min-degree-below-3")
-        if not is_planar(g):
-            return _skip(tag, g, "not-planar")
-        d8 = g.max_degree() + 8
-        bound = min(d8, 10)
-        return _judge_upper_bound(
-            tag, g, bound, work_budget, extra=(("branch_delta_plus_8", d8), ("branch_flat", 10))
-        )
-
-    if tag == "thm-girth4-d3":
-        from .planar import is_planar
-
-        if not g.is_connected():
-            return _skip(tag, g, "not-connected")
-        if g.min_degree() < 3:
-            return _skip(tag, g, "min-degree-below-3")
-        if g.girth() < 4:
-            return _skip(tag, g, "girth-below-4")
-        if not is_planar(g):
-            return _skip(tag, g, "not-planar")
-        if any(sum(g.classify_edge(u, v)) <= 7 for u, v in g.edges()):
-            return _skip(tag, g, "has-low-degree-sum-edge")
-        return _judge_upper_bound(tag, g, g.max_degree() + 3, work_budget)
-
-    if tag == "config-g4":
-        from .planar import detect_girth4_config, is_planar
-
-        if not g.is_connected():
-            return _skip(tag, g, "not-connected")
-        if g.min_degree() < 3:
-            return _skip(tag, g, "min-degree-below-3")
-        if g.girth() < 4:
-            return _skip(tag, g, "girth-below-4")
-        if not is_planar(g):
-            return _skip(tag, g, "not-planar")
-        report = detect_girth4_config(g)
-        status = HOLDS if report.at_least_one else VIOLATED
-        detail = (("found", ",".join(report.tags) or "-"),)
-        return GraphOutcome(tag, _g6(g), g.n, g.m, status, detail)
-
-    if tag == "config-borodin":
-        from .planar import AT_MOST, EXACT, detect_borodin, planar_embedding
-
-        if not g.is_connected():
-            return _skip(tag, g, "not-connected")
-        if g.min_degree() < 3:
-            return _skip(tag, g, "min-degree-below-3")
-        emb = planar_embedding(g)
-        if emb is None:
-            return _skip(tag, g, "not-planar")
-        loose = detect_borodin(g, emb, AT_MOST)
-        strict = detect_borodin(g, emb, EXACT)
-        status = HOLDS if loose.at_least_one else VIOLATED
-        detail = (
-            ("found", ",".join(loose.tags) or "-"),
-            ("exact_reading", ",".join(strict.tags) or "-"),
-            ("skipped_faces", len(loose.skipped_faces)),
-        )
-        return GraphOutcome(tag, _g6(g), g.n, g.m, status, detail)
-
-    raise ValueError(f"unknown theorem tag {tag!r}")
+def _map(fn, graphs: list[Graph], jobs: int) -> list:
+    """fn over graphs in corpus order; jobs > 1 spreads whole graphs over processes."""
+    if jobs > 1 and len(graphs) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, graphs))
+    return [fn(g) for g in graphs]
 
 
 def run_campaign(
@@ -381,30 +371,17 @@ def run_campaign(
     jobs > 1 distributes whole graphs over processes; record order is
     corpus order either way.
     """
-    if tag not in THEOREM_TAGS:
+    if tag not in THEOREMS:
         raise ValueError(f"unknown theorem tag {tag!r}")
-    graphs = list(corpus)
-    if jobs > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(partial(evaluate_theorem, tag, work_budget=work_budget), graphs)
-            )
-    else:
-        outcomes = [evaluate_theorem(tag, g, work_budget) for g in graphs]
-    return CampaignResult(tag, tuple(outcomes))
+    evaluate = partial(evaluate_theorem, tag, work_budget=work_budget)
+    return CampaignResult(tag, tuple(_map(evaluate, list(corpus), jobs)))
 
 
 def search_by_bondage(
     corpus, k: int, work_budget: int | None = None, jobs: int = 1
 ) -> list[GraphOutcome]:
     """Graphs in the corpus whose total bondage number is exactly k."""
-    graphs = list(corpus)
-    runner = partial(_search_one, k=k, work_budget=work_budget)
-    if jobs > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(runner, graphs))
-    else:
-        rows = [runner(g) for g in graphs]
+    rows = _map(partial(_search_one, k=k, work_budget=work_budget), list(corpus), jobs)
     return [r for r in rows if r is not None]
 
 
@@ -414,11 +391,11 @@ def _search_one(g: Graph, k: int, work_budget: int | None) -> GraphOutcome | Non
         return None
     detail = (
         ("b_t", cert.b_t),
-        ("witness", _render_edges(cert.witness)),
+        ("witness", edges_text(cert.witness)),
         ("gamma_before", cert.gamma_before),
         ("gamma_after", cert.gamma_after),
     )
-    return GraphOutcome("search-bt", _g6(g), g.n, g.m, "match", detail)
+    return _outcome("search-bt", g, "match", detail)
 
 
 @dataclass(frozen=True)
@@ -432,24 +409,16 @@ class BoundCheck:
 def verify_prior_bounds(g: Graph, work_budget: int | None = None) -> tuple[BoundCheck, ...]:
     """Evaluate the published order, tree and degree bounds against exact b_t."""
     cert = bondage(g, work_budget=work_budget)
-    if cert.status == "finite":
-        value: float | None = cert.b_t
-    elif cert.status == "infinite":
-        value = math.inf
-    else:
-        value = None  # only decided up to cert.cap
+    # None: only decided up to cert.cap
+    value = None if cert.status == "unknown-above-cap" else cert.value()
     checks: list[BoundCheck] = []
 
     def add(name: str, applicable: bool, bound: int | None) -> None:
         if not applicable:
             checks.append(BoundCheck(name, "not-applicable", None, value))
             return
-        if value is not None:
-            status = HOLDS if value <= bound else VIOLATED
-        elif cert.cap is not None and bound <= cert.cap:
-            status = VIOLATED  # all subsets up to the bound were searched
-        else:
-            status = "unresolved"
+        within = _within(cert, bound)
+        status = "unresolved" if within is None else HOLDS if within else VIOLATED
         checks.append(BoundCheck(name, status, bound, value))
 
     girth = g.girth()

@@ -24,7 +24,7 @@ from .campaigns import (
 from .corpus import girth4_corpus, planar_min3_corpus
 from .domination import gamma_t
 from .families import FamilySpec
-from .formats import graph6_bytes, parse_graphs, read_embeddings, read_graphs
+from .formats import edges_text, graph6_bytes, parse_graphs, read_embeddings, read_graphs
 from .graphs import Graph
 from .trees import enumerate_trees
 from .witnesses import (
@@ -49,13 +49,6 @@ def _g6(g: Graph) -> str:
 
 def _slug(exc: BaseException) -> str:
     return str(exc).replace(" ", "-")
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("TOTBOND_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def resolve_corpus(src: str) -> list[Graph]:
@@ -140,7 +133,7 @@ def _cmd_bondage(args: argparse.Namespace) -> int:
             f"gamma_before={cert.gamma_before}",
         ]
         if cert.status == "finite":
-            ws = ",".join(f"{u}-{v}" for u, v in sorted(cert.witness))
+            ws = edges_text(cert.witness)
             parts += [f"b_t={cert.b_t}", f"witness={ws}", f"gamma_after={cert.gamma_after}"]
         elif cert.status == "infinite":
             parts += ["b_t=inf", f"criterion={cert.criterion.replace(' ', '-')}"]
@@ -153,12 +146,11 @@ def _cmd_bondage(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     def emit(report) -> None:
         anchors = ",".join(str(v) for v in report.anchors) or "-"
-        edges = ",".join(f"{u}-{v}" for u, v in sorted(report.edges)) or "-"
         print(
             f"WITNESS rule={report.rule} graph={report.graph6} anchors={anchors} "
             f"verdict={report.verdict} claimed={report.claimed_bound} "
             f"observed={report.observed_size} gamma_before={report.gamma_before} "
-            f"gamma_after={report.gamma_after} edges={edges}"
+            f"gamma_after={report.gamma_after} edges={edges_text(report.edges)}"
             + (f" reason={report.reason.replace(' ', '-')}" if report.reason else "")
         )
 
@@ -350,14 +342,14 @@ def main(argv=None) -> int:
     p.add_argument("--theorem", required=True, choices=THEOREM_TAGS)
     p.add_argument("--corpus", required=True)
     p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("search", help="find corpus graphs with a given bondage number")
     p.add_argument("--bt", type=int, required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("bounds", help="check published bounds against exact values")

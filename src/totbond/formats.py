@@ -168,6 +168,11 @@ def edge_list_text(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
+def edges_text(edges) -> str:
+    """An edge set as sorted "u-v" items joined by commas, "-" when empty."""
+    return ",".join(f"{u}-{v}" for u, v in sorted(edges)) or "-"
+
+
 # -- planar_code ----------------------------------------------------------------
 
 

@@ -27,11 +27,6 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def normalize_edges(pairs) -> frozenset[Edge]:
-    """Normalize an iterable of vertex pairs to a frozenset of (min, max) edges."""
-    return frozenset(edge_key(u, v) for u, v in pairs)
-
-
 def _bits(mask: int):
     """Yield set bit positions of mask in ascending order."""
     while mask:
@@ -46,12 +41,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-
-    @staticmethod
-    def empty(n: int) -> "Graph":
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        return Graph(n, (0,) * n)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -100,9 +89,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj[v]))
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if not self.adj[v])
 
     def has_isolated_vertex(self) -> bool:
         return any(not a for a in self.adj) if self.n else False
@@ -203,10 +189,6 @@ class Graph:
 
     # -- degree-structure queries --------------------------------------------
 
-    def s_k(self, k: int) -> tuple[int, ...]:
-        """Vertices of degree exactly k, ascending."""
-        return tuple(v for v in range(self.n) if self.adj[v].bit_count() == k)
-
     def support_vertices(self) -> tuple[int, ...]:
         """Vertices adjacent to at least one degree-1 vertex, ascending."""
         leaf_mask = 0
@@ -260,34 +242,6 @@ class Graph:
 
             yield from extend(0, 1 << v0)
 
-    def find_induced_cycle(self, k: int):
-        """First induced k-cycle in canonical order, or None."""
-        return next(self.induced_cycles(k), None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
 
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degree data read off a graph once and passed around cheaply."""
-
-    degrees: tuple[int, ...]
-    sequence: tuple[int, ...]
-    min_degree: int
-    max_degree: int
-    supports: tuple[int, ...]
-
-    @staticmethod
-    def from_graph(g: Graph) -> "DegreeProfile":
-        degs = g.degrees()
-        return DegreeProfile(
-            degrees=degs,
-            sequence=tuple(sorted(degs, reverse=True)),
-            min_degree=min(degs, default=0),
-            max_degree=max(degs, default=0),
-            supports=g.support_vertices(),
-        )
-
-    def s(self, k: int) -> tuple[int, ...]:
-        return tuple(v for v, d in enumerate(self.degrees) if d == k)

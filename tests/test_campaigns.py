@@ -6,18 +6,22 @@ output, never patched over.
 """
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from totbond.bondage import bondage
+from totbond.bondage import BondageCertificate, bondage
 from totbond.campaigns import (
     HOLDS,
     SKIPPED,
     THEOREM_TAGS,
+    THEOREMS,
     VIOLATED,
     CampaignResult,
     GraphOutcome,
     _multipartite_parts,
+    _within,
     evaluate_theorem,
     run_campaign,
     search_by_bondage,
@@ -241,6 +245,22 @@ class TestRunnerMechanics:
         out = evaluate_theorem("thm-planar-d8", icosahedron(), work_budget=10)
         assert out.status == SKIPPED
         assert ("reason", "work-budget") in out.detail
+
+    def test_verdict_against_a_bound(self):
+        """b_t <= bound is decided, or None when the search stopped short of it."""
+
+        def cert(status, b_t=None, cap=None):
+            return BondageCertificate(status, b_t, None, 2, None, cap=cap)
+
+        assert [_within(cert("finite", b_t=2), b) for b in (1, 2)] == [False, True]
+        assert _within(cert("infinite"), 99) is False
+        stopped = cert("unknown-above-cap", cap=2)
+        assert [_within(stopped, b) for b in (1, 2, 3)] == [False, False, None]
+
+    def test_readme_tag_table_is_theorems(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Campaign tags", 1)[1].split("\n## ", 1)[0]
+        assert set(re.findall(r"^\| `([^`]+)` \|", table, re.M)) == set(THEOREMS)
 
 
 class TestSearch:

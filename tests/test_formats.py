@@ -12,6 +12,7 @@ from totbond.families import complete, complete_bipartite, cycle, path
 from totbond.formats import (
     FormatError,
     edge_list_text,
+    edges_text,
     graph6_bytes,
     iter_graph6,
     iter_planar_code,
@@ -106,6 +107,10 @@ class TestEdgeList:
     def test_bad_token_offset(self):
         with pytest.raises(FormatError):
             parse_edge_list("0 1\n1 x\n")
+
+    def test_edges_text(self):
+        assert edges_text({(2, 3), (0, 4)}) == "0-4,2-3"
+        assert edges_text(()) == "-"
 
     def test_self_loop_rejected(self):
         with pytest.raises(FormatError):

@@ -1,18 +1,25 @@
-"""Golden CLI records: solver speedups must not change a single byte.
+"""Golden CLI records: speedups and refactors must not change a single byte.
 
-The hashes were taken from the CLI output of the code before the packing
-lower bound and the shared per-graph values of the witness scan.  Both
-only skip work whose outcome is already known, so every record, down to
-the witness sets the search finds first, must come out the same.
+The gamma-t, witness-scan and planar-d8 hashes were taken from the CLI
+output of the code before the packing lower bound and the shared
+per-graph values of the witness scan; the all-tags campaign and bounds
+hashes from the code before the THEOREMS table.  Each change only skips
+work whose outcome is already known or restates the same rules, so
+every record, down to the witness sets the search finds first, must
+come out the same.
 """
 
 import hashlib
 
 import pytest
 
+from totbond.campaigns import THEOREM_TAGS
 from totbond.cli import main
-from totbond.corpus import girth4_corpus, planar_min3_corpus
+from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus, theta_graph
+from totbond.families import complete, complete_multipartite, cycle, path
 from totbond.formats import write_graph6
+from totbond.graphs import Graph
+from totbond.trees import enumerate_trees
 
 GIRTH4_N36 = {
     "gamma-t": "916cd41d09f86071ffdefac50d0125d17c8a1e678bdef49d4118c1f079df8bb9",
@@ -53,3 +60,72 @@ def test_planar_d8_campaign_records(tmp_path, capsys):
     argv = ["campaign", "--theorem", "thm-planar-d8", "--corpus", f,
             "--work-budget", "200000", "--jobs", "1"]
     assert _digest(capsys, argv) == PLANAR_D8_N20
+
+
+# Every campaign tag and the prior-bound checks on corpora that meet and miss
+# each hypothesis.  Budget 3 stops most bondage searches (the work-budget
+# skip, and `unresolved` bound checks); budget 8 stops P6's bounds search
+# after size 1, so its tree bound is violated on the searched sizes alone.
+BUDGETS = ("20000", "8", "3")
+CAMPAIGN_ALL_TAGS = {
+    "20000": "ccf8e3b3a27a54eb29319e59d3bc33e06001f7fc21d4408ef6b4041543ded78c",
+    "8": "cefb254758781a1e337631e1385ce4b3ceafb260687e183545cae8ca8995c718",
+    "3": "145a29bcec97ec1df0baa7481bfd92ff339c2db4426fc73beb4618f1e50599a7",
+}
+BOUNDS_MIXED = {
+    "20000": "c63092a1c8894677c7e683d10844026293576bc8b7ab31acd4197b642cb77b3c",
+    "8": "d21b20ac15dc7f166d37add7fff82fbc38331e0407294fc83c2cdad05bf4ad25",
+    "3": "8c4a02904481c99c16dff5cc56e946bd419122cbd1924835a0b01decbaa66533",
+}
+
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+def _campaign_corpus():
+    return (
+        [path(n) for n in range(2, 8)]
+        + [cycle(n) for n in range(3, 9)]
+        + [complete_multipartite(s) for s in ((3, 1), (2, 2), (3, 2), (3, 3), (2, 2, 2), (3, 2, 2), (2, 1, 1))]
+        + [g for n in range(4, 9) for g in enumerate_trees(n)]
+        + [complete(4), complete(5), PETERSEN, TWO_TRIANGLES, PAW, theta_graph(1, 2, 3), theta_graph(2, 2, 2)]
+        + [g for g in planar_min3_corpus() if g.n <= 12]
+        + [g for g in girth4_corpus() if g.n <= 14]
+        + [icosahedron_incidence()]
+    )
+
+
+def _bounds_corpus():
+    return [
+        path(6), cycle(3), cycle(5), complete(4), complete_multipartite((3, 2)),
+        complete_multipartite((3, 1)), PAW, PETERSEN, complete_multipartite((3, 3)),
+    ] + [g for g in planar_min3_corpus() if g.n <= 8]
+
+
+def _all_tags_output(capsys, corpus_file, budget):
+    """Records of every tag in turn, each followed by its exit status."""
+    out = []
+    for tag in THEOREM_TAGS:
+        code = main(["campaign", "--theorem", tag, "--corpus", corpus_file,
+                     "--work-budget", budget, "--jobs", "1"])
+        out.append(capsys.readouterr().out + f"EXIT {code}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_campaign_records_all_tags(tmp_path, capsys, budget):
+    f = _write(tmp_path, "mixed.g6", _campaign_corpus())
+    digest = hashlib.sha256(_all_tags_output(capsys, f, budget).encode()).hexdigest()
+    assert digest == CAMPAIGN_ALL_TAGS[budget]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_bounds_records(tmp_path, capsys, budget):
+    f = _write(tmp_path, "bounds.g6", _bounds_corpus())
+    assert _digest(capsys, ["bounds", f, "--work-budget", budget]) == BOUNDS_MIXED[budget]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totbond.families import complete, complete_bipartite, cycle, path, star
-from totbond.graphs import DegreeProfile, Graph, IsolatedVertexError, edge_key, normalize_edges
+from totbond.graphs import Graph, IsolatedVertexError, edge_key
 
 from oracles import brute_girth
 
@@ -52,7 +52,6 @@ class TestConstruction:
 
     def test_edge_key_orders(self):
         assert edge_key(5, 2) == (2, 5)
-        assert normalize_edges([(3, 1), (1, 3)]) == frozenset({(1, 3)})
 
     def test_delete_edges_requires_presence(self):
         g = path(4)
@@ -119,19 +118,11 @@ class TestQueries:
 
     def test_isolated_vertices(self):
         g = Graph.from_edges(3, [(0, 1)])
-        assert g.isolated_vertices() == (2,)
         assert g.has_isolated_vertex()
 
     def test_complement(self):
         g = path(3).complement()
         assert g.edges() == ((0, 2),)
-
-    def test_s_k_and_profile(self):
-        g = star(3)
-        assert g.s_k(1) == (0, 1, 2)
-        prof = DegreeProfile.from_graph(g)
-        assert prof.max_degree == 3 and prof.min_degree == 1
-        assert prof.s(3) == (3,)
 
 
 class TestInducedCycles:
@@ -172,11 +163,6 @@ class TestInducedCycles:
                 assert g.has_edge(cyc[i], cyc[(i + 1) % k])
             assert not g.has_edge(cyc[0], cyc[2])
             assert not g.has_edge(cyc[1], cyc[3])
-
-    def test_find_induced_cycle(self):
-        assert path(5).find_induced_cycle(4) is None
-        got = cycle(5).find_induced_cycle(5)
-        assert got is not None and len(got) == 5
 
     def test_c6_has_no_induced_c3_c4(self):
         g = cycle(6)
