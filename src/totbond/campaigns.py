@@ -237,6 +237,7 @@ _MIN_DEGREE_3 = Hypothesis("min-degree-below-3", lambda g: g.min_degree() >= 3)
 _GIRTH_4 = Hypothesis("girth-below-4", lambda g: g.girth() >= 4)
 _PLANAR = Hypothesis("not-planar", lambda g: planar.is_planar(g))
 _TREE = Hypothesis("not-a-tree", _is_tree)
+_NO_ISOLATED = Hypothesis("has-isolated-vertex", lambda g: not g.has_isolated_vertex())
 _MAX_DEGREE_3 = Hypothesis("max-degree-below-3", lambda g: g.max_degree() >= 3)
 _NOT_STAR = Hypothesis("star-excluded", lambda g: not _is_star(g))
 
@@ -292,7 +293,8 @@ THEOREMS: dict[str, Theorem] = {
         partial(_upper_bound, bound=lambda g: g.max_degree() - 1),
     ),
     "thm-tree-sridharan": Theorem(
-        (_TREE, _NOT_STAR),
+        # K1 is the one tree whose b_t is undefined
+        (_TREE, _NO_ISOLATED, _NOT_STAR),
         partial(_upper_bound, bound=lambda g: min(g.max_degree(), (g.n - 1) // 3)),
     ),
     "thm-tree-n23": Theorem(

@@ -25,7 +25,7 @@ from .corpus import girth4_corpus, planar_min3_corpus
 from .domination import gamma_t
 from .families import FamilySpec
 from .formats import edges_text, graph6_bytes, parse_graphs, read_embeddings, read_graphs
-from .graphs import Graph
+from .graphs import Graph, IsolatedVertexError
 from .trees import enumerate_trees
 from .witnesses import (
     RULES,
@@ -63,13 +63,16 @@ def resolve_corpus(src: str) -> list[Graph]:
         if hi < lo:
             raise SystemExit(f"empty range in corpus spec {src!r}")
         out: list[Graph] = []
-        for n in range(lo, hi + 1):
-            if kind == "paths":
-                out.append(FamilySpec.parse(f"path:{n}").build())
-            elif kind == "cycles":
-                out.append(FamilySpec.parse(f"cycle:{n}").build())
-            else:
-                out.extend(enumerate_trees(n))
+        try:
+            for n in range(lo, hi + 1):
+                if kind == "paths":
+                    out.append(FamilySpec.parse(f"path:{n}").build())
+                elif kind == "cycles":
+                    out.append(FamilySpec.parse(f"cycle:{n}").build())
+                else:
+                    out.extend(enumerate_trees(n))
+        except ValueError as exc:  # an order the family does not have
+            raise SystemExit(f"{exc} in corpus spec {src!r}") from None
         return out
     if os.path.exists(src):
         return list(read_graphs(src))
@@ -89,7 +92,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family:
         graphs.append(FamilySpec.parse(args.family).build())
     if args.trees is not None:
-        graphs.extend(enumerate_trees(args.trees))
+        try:
+            graphs.extend(enumerate_trees(args.trees))
+        except ValueError as exc:  # an order below 1 or above the cap
+            raise SystemExit(f"--trees: {exc}") from None
     if args.classes is not None:
         from .smallgraphs import enumerate_graph_classes
 
@@ -280,7 +286,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     for g in _load_inputs(args.input):
-        checks = verify_prior_bounds(g, work_budget=args.work_budget)
+        try:
+            checks = verify_prior_bounds(g, work_budget=args.work_budget)
+        except IsolatedVertexError:
+            print(f"BOUNDS graph={_g6(g)} n={g.n} m={g.m} error=isolated-vertex")
+            continue
         rendered = " ".join(
             f"{c.name}={c.status}"
             + (f":{c.bound}" if c.bound is not None else "")

@@ -52,7 +52,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def star(leaves: int) -> Graph:
-    """K_{1,leaves}: center 0, leaves 1..leaves."""
+    """K_{1,leaves}: leaves 0..leaves-1, center leaves (the larger part comes first)."""
     if leaves < 1:
         raise ValueError("stars need at least one leaf")
     return complete_multipartite((leaves, 1))

@@ -1,10 +1,24 @@
 """Exhaustive generation of non-isomorphic trees.
 
-Rooted trees on n vertices are generated as level sequences in
-reverse-lexicographic order; free trees are obtained by canonizing each
-rooted tree at its center(s) and discarding repeats.  The level-sequence
-successor rule is constant-time amortized, so enumeration up to n = 16
-stays cheap.
+Rooted trees on n vertices are generated as canonical level sequences in
+reverse-lexicographic order (Beyer & Hedetniemi, SIAM J. Comput. 9(4),
+1980); the successor rule is constant-time amortized.
+
+Free trees are read off the rooted ones by a lemma.  The canonical
+sequence of a tree rooted at r begins 1, 2, ..., ecc(r) + 1, because the
+deepest child subtree sorts first; so among the rootings of one free
+tree the lex-largest, which the generator visits first, is rooted at a
+peripheral vertex: a leaf, with height equal to the diameter.
+`enumerate_trees` therefore walks only the sequences with a leaf root
+(one 2), in the generator's own order, drops every one whose diameter
+exceeds its height, and keys the survivors by their canonical form at the
+centre.  Each dropped sequence is a later rooting of a tree already
+seen, so the same sequences come out, in the same order and with the same
+vertex labels, as when every rooted tree is canonized.  (Wright,
+Richmond, Odlyzko & McKay, SIAM J. Comput. 15(2), 1986, generate free
+trees with no key at all, but in another order and labelling.)  The
+count of sequences walked still grows about 3x per vertex, so the order
+stays capped.
 """
 
 from __future__ import annotations
@@ -46,44 +60,38 @@ def rooted_level_sequences(n: int) -> Iterator[list[int]]:
             seq[i] = seq[i - period]
 
 
-def tree_from_level_sequence(seq: list[int]) -> Graph:
-    """Build the tree a preorder level sequence describes.
+def _parents(seq) -> list[int]:
+    """Parent of each vertex of a preorder level sequence; the root's is -1.
 
     Vertex i is the i-th entry; its parent is the most recent vertex one
     level up.  The root must be first and depths may only grow by 1.
     """
     if not seq or seq[0] != 1:
         raise ValueError("level sequence must start at level 1")
-    edges = []
+    parent = [-1]
     stack = [0]  # stack[d-1] = current ancestor at depth d
     for i in range(1, len(seq)):
         d = seq[i]
         if d < 2 or d > len(stack) + 1:
             raise ValueError(f"level {d} at position {i} breaks preorder")
         del stack[d - 1 :]
-        edges.append((stack[-1], i))
+        parent.append(stack[-1])
         stack.append(i)
-    return Graph.from_edges(len(seq), edges)
+    return parent
 
 
-def tree_centers(adj: list[list[int]]) -> list[int]:
-    """Return the 1 or 2 central vertices of a tree given adjacency lists."""
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+def _tree(parent: list[int]) -> Graph:
+    masks = [0] * len(parent)
+    for v in range(1, len(parent)):
+        p = parent[v]
+        masks[v] |= 1 << p
+        masks[p] |= 1 << v
+    return Graph(len(parent), tuple(masks))
+
+
+def tree_from_level_sequence(seq) -> Graph:
+    """Build the tree a preorder level sequence describes (see `_parents`)."""
+    return _tree(_parents(seq))
 
 
 def _ahu_code(adj: list[list[int]], root: int) -> str:
@@ -96,25 +104,51 @@ def _ahu_code(adj: list[list[int]], root: int) -> str:
     return code(root, -1)
 
 
-def free_canonical_form(g: Graph) -> str:
-    """Canonical string identifying g up to isomorphism (trees only)."""
-    adj = [list(g.neighbors(v)) for v in range(g.n)]
-    return min(_ahu_code(adj, c) for c in tree_centers(adj))
+def _diameter_at_most(parent: list[int], h: int) -> bool:
+    """Whether no path in the tree is longer than h edges.
+
+    Reverse preorder finishes every child before its parent, so
+    below[p] is the longest downward path from p among the children
+    seen so far.
+    """
+    below = [0] * len(parent)
+    for v in range(len(parent) - 1, 0, -1):
+        p = parent[v]
+        down = below[v] + 1
+        if below[p] + down > h:
+            return False
+        if down > below[p]:
+            below[p] = down
+    return True
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Yield one representative of every isomorphism class of trees on n vertices.
 
-    Deterministic order: first appearance in rooted level-sequence order.
+    Deterministic order: first appearance in rooted level-sequence order,
+    each tree labelled by the preorder of that first sequence.
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")
     if n > MAX_TREE_ORDER:
         raise ValueError(f"tree enumeration capped at n = {MAX_TREE_ORDER}")
+    if n <= 2:
+        yield tree_from_level_sequence(range(1, n + 1))
+        return
     seen: set[str] = set()
-    for seq in rooted_level_sequences(n):
-        t = tree_from_level_sequence(seq)
-        key = free_canonical_form(t)
+    for rest in rooted_level_sequences(n - 1):
+        # a leaf root over the rooted tree `rest`; the first branch
+        # 0, 1, ..., h is the deepest path
+        parent = _parents([1] + [x + 1 for x in rest])
+        h = max(rest)
+        if not _diameter_at_most(parent, h):
+            continue
+        adj: list[list[int]] = [[] for _ in parent]
+        for v in range(1, n):
+            adj[v].append(parent[v])
+            adj[parent[v]].append(v)
+        # the centre or centres of a diametral path 0..h
+        key = min(_ahu_code(adj, c) for c in {h // 2, (h + 1) // 2})
         if key not in seen:
             seen.add(key)
-            yield t
+            yield _tree(parent)

@@ -233,3 +233,54 @@ def otter_counts(limit: int) -> tuple[list[int], list[int]]:
             pairs -= rooted[n // 2]
         free[n] = rooted[n] - pairs // 2
     return rooted[1:], free[1:]
+
+
+def tree_centers(adj: list[list[int]]) -> list[int]:
+    """Return the 1 or 2 central vertices of a tree given adjacency lists."""
+    n = len(adj)
+    if n <= 2:
+        return list(range(n))
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] == 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    return sorted(layer)
+
+
+def free_canonical_form(g: Graph) -> str:
+    """Canonical string identifying g up to isomorphism (trees only)."""
+    from totbond.trees import _ahu_code
+
+    adj = [list(g.neighbors(v)) for v in range(g.n)]
+    return min(_ahu_code(adj, c) for c in tree_centers(adj))
+
+
+def canonized_trees(n: int) -> Iterator[Graph]:
+    """Free trees by canonizing every rooted tree at its centre(s).
+
+    Every rooted level sequence is built and keyed; a tree is yielded at
+    its first key.  `totbond.trees.enumerate_trees` keys only leaf-rooted
+    sequences as tall as their diameter, and must yield the same graphs
+    in the same order.
+    """
+    from totbond.trees import MAX_TREE_ORDER, rooted_level_sequences, tree_from_level_sequence
+
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
+    if n > MAX_TREE_ORDER:
+        raise ValueError(f"tree enumeration capped at n = {MAX_TREE_ORDER}")
+    seen: set[str] = set()
+    for seq in rooted_level_sequences(n):
+        t = tree_from_level_sequence(seq)
+        key = free_canonical_form(t)
+        if key not in seen:
+            seen.add(key)
+            yield t

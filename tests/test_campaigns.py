@@ -118,6 +118,12 @@ class TestTreeCampaigns:
             assert out.status == SKIPPED
             assert ("reason", "star-excluded") in out.detail
 
+    def test_k1_skipped_by_sridharan(self):
+        # K1 is a tree and not a star, but b_t is undefined on it
+        out = evaluate_theorem("thm-tree-sridharan", Graph(1, (0,)))
+        assert out.status == SKIPPED
+        assert out.detail == (("reason", "has-isolated-vertex"),)
+
     def test_n23_exclusions(self):
         claw = subdivided_star((0, 0, 0))
         assert ("reason", "excluded-k13") in evaluate_theorem("thm-tree-n23", claw).detail

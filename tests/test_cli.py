@@ -5,6 +5,7 @@ import pytest
 from totbond.cli import main, resolve_corpus
 from totbond.families import cycle, path
 from totbond.formats import graph6_bytes, write_graph6
+from totbond.graphs import Graph
 
 
 def g6(g):
@@ -30,6 +31,13 @@ class TestGen:
     def test_trees(self, capsys):
         assert main(["gen", "--trees", "7"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 11
+
+    @pytest.mark.parametrize("n", ["0", "17"])
+    def test_trees_order_out_of_range(self, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--trees", n])
+        assert str(exc.value).startswith("--trees: tree ")
+        assert "\n" not in str(exc.value)
 
     def test_classes_filtered(self, capsys):
         assert main(["gen", "--classes", "5", "--triangle-free"]) == 0
@@ -92,6 +100,14 @@ class TestScalarCommands:
         assert out.startswith("BOUNDS ")
         assert "tree-sridharan=holds" in out
         assert "tree-rad=not-applicable" in out
+
+    def test_bounds_isolated_vertex(self, capsys, graph_file):
+        k1, empty3 = Graph(1, (0,)), Graph(3, (0, 0, 0))
+        assert main(["bounds", graph_file(k1, path(7), empty3)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "BOUNDS graph=@ n=1 m=0 error=isolated-vertex"
+        assert "tree-sridharan=holds" in out[1]
+        assert out[2] == f"BOUNDS graph={g6(empty3)} n=3 m=0 error=isolated-vertex"
 
 
 class TestWitness:
@@ -184,6 +200,18 @@ class TestCampaign:
         assert "violations=1" in out
         assert "status=violated" in out
 
+    def test_k1_in_tree_corpus_is_skipped(self, capsys):
+        rc = main(
+            ["campaign", "--theorem", "thm-tree-sridharan", "--corpus", "trees:1..4", "--jobs", "1"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == (
+            "RECORD theorem=thm-tree-sridharan graph=@ n=1 m=0 status=skipped "
+            "reason=has-isolated-vertex"
+        )
+        assert out[-1].startswith("SUMMARY theorem=thm-tree-sridharan checked=5 ")
+
     def test_search(self, capsys):
         rc = main(["search", "--bt", "2", "--corpus", "cycles:4..7", "--jobs", "1"])
         assert rc == 0
@@ -212,3 +240,8 @@ class TestCorpusResolution:
     def test_empty_range(self):
         with pytest.raises(SystemExit):
             resolve_corpus("paths:9..4")
+
+    @pytest.mark.parametrize("spec", ["trees:0..3", "trees:17..18"])
+    def test_tree_order_out_of_range(self, spec):
+        with pytest.raises(SystemExit, match=f"in corpus spec '{spec}'$"):
+            resolve_corpus(spec)

@@ -72,6 +72,13 @@ class TestBasicFamilies:
         assert g.n == 5
         assert sorted(g.degrees()) == [1, 1, 1, 1, 4]
 
+    def test_star_labelling(self):
+        # the leaf part is the larger one, so it comes first
+        assert star(3).adj == (8, 8, 8, 7)
+        g = star(5)
+        assert g.degree(5) == 5
+        assert all(g.degree(v) == 1 and g.has_edge(v, 5) for v in range(5))
+
     def test_star_single_edge_support(self):
         # one edge: both ends are leaves adjacent to a leaf, so both support
         g = star(1)

@@ -3,7 +3,8 @@
 The gamma-t, witness-scan and planar-d8 hashes were taken from the CLI
 output of the code before the packing lower bound and the shared
 per-graph values of the witness scan; the all-tags campaign and bounds
-hashes from the code before the THEOREMS table.  Each change only skips
+hashes from the code before the THEOREMS table; the tree hashes from the
+code that canonized every rooted tree.  Each change only skips
 work whose outcome is already known or restates the same rules, so
 every record, down to the witness sets the search finds first, must
 come out the same.
@@ -26,6 +27,11 @@ GIRTH4_N36 = {
     "witness-scan": "8a21d2c92c1cf77b03b72e80e799561c00f5f5c4b0f2ce8fccd4aba96756a8e6",
 }
 PLANAR_D8_N20 = "d4ed7d0fe64a24c692be77c7b46b302a7f02f92f0ee710cd1ff6101824f1bc81"
+GEN_TREES = {
+    "14": "d076511ae0a32eb6d33ecf653b35d62d2766a4dbaaa9e1c46fccd2152479d1ab",
+    "15": "c1908aa47307545566d7e43b8dc3f8cac326a1a8f528a4ca5847f455bd1592da",
+}
+TREE_N23_5_14 = "95bce7b96f67213a529654a9c37032ee1e876322a369bc3d0c389cce53195123"
 
 
 def _write(tmp_path, name, graphs):
@@ -60,6 +66,16 @@ def test_planar_d8_campaign_records(tmp_path, capsys):
     argv = ["campaign", "--theorem", "thm-planar-d8", "--corpus", f,
             "--work-budget", "200000", "--jobs", "1"]
     assert _digest(capsys, argv) == PLANAR_D8_N20
+
+
+@pytest.mark.parametrize("n", sorted(GEN_TREES))
+def test_gen_trees_records(capsys, n):
+    assert _digest(capsys, ["gen", "--trees", n]) == GEN_TREES[n]
+
+
+def test_tree_n23_campaign_records(capsys):
+    argv = ["campaign", "--theorem", "thm-tree-n23", "--corpus", "trees:5..14", "--jobs", "1"]
+    assert _digest(capsys, argv) == TREE_N23_5_14
 
 
 # Every campaign tag and the prior-bound checks on corpora that meet and miss

@@ -3,22 +3,18 @@
 Two fully independent oracles: decoding every Prüfer sequence gives all
 labeled trees, which collapse to the unlabeled catalog under canonical
 forms; Otter's counting recurrence gives the expected totals without
-constructing anything.
+constructing anything.  A third, the canonize-every-rooted-tree
+enumerator, pins the exact order and labels.
 """
 
 from itertools import product
 
 import pytest
 
-from oracles import otter_counts, prufer_tree
+from oracles import canonized_trees, free_canonical_form, otter_counts, prufer_tree, tree_centers
+from totbond.formats import graph6_bytes
 from totbond.graphs import Graph
-from totbond.trees import (
-    enumerate_trees,
-    free_canonical_form,
-    rooted_level_sequences,
-    tree_centers,
-    tree_from_level_sequence,
-)
+from totbond.trees import enumerate_trees, rooted_level_sequences, tree_from_level_sequence
 
 FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # n = 1..12
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
@@ -99,3 +95,31 @@ class TestFreeEnumeration:
         # same tree with legs listed the other way round
         b = Graph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
         assert free_canonical_form(a) == free_canonical_form(b)
+
+
+def _diameter(g: Graph) -> int:
+    return max(g.distance(u, v) for u in range(g.n) for v in range(u + 1, g.n))
+
+
+class TestLeafRootedWalk:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_same_graphs_in_same_order_as_reference(self, n):
+        want = [graph6_bytes(t) for t in canonized_trees(n)]
+        assert [graph6_bytes(t) for t in enumerate_trees(n)] == want
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_first_rooting_is_a_leaf_as_tall_as_the_diameter(self, n):
+        """The lemma the walk rests on, checked on the reference's output.
+
+        Each representative is labelled in the preorder of the level
+        sequence it first appeared as, so vertex 0 is its root.
+        """
+        for t in canonized_trees(n):
+            levels = [1 + t.distance(0, v) for v in range(n)]
+            assert levels.count(2) == 1
+            assert max(levels) - 1 == _diameter(t)
+
+    @pytest.mark.parametrize("n", [0, -1, 17])
+    def test_order_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            next(enumerate_trees(n))
