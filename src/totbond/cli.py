@@ -26,7 +26,7 @@ from .domination import gamma_t
 from .families import FamilySpec
 from .formats import edges_text, graph6_bytes, parse_graphs, read_embeddings, read_graphs
 from .graphs import Graph, IsolatedVertexError
-from .trees import enumerate_trees
+from .trees import check_tree_order, enumerate_trees
 from .witnesses import (
     RULES,
     apply_rule,
@@ -64,6 +64,10 @@ def resolve_corpus(src: str) -> list[Graph]:
             raise SystemExit(f"empty range in corpus spec {src!r}")
         out: list[Graph] = []
         try:
+            if kind == "trees":
+                # the whole range, before any order of it is enumerated
+                check_tree_order(lo)
+                check_tree_order(hi)
             for n in range(lo, hi + 1):
                 if kind == "paths":
                     out.append(FamilySpec.parse(f"path:{n}").build())
@@ -118,7 +122,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_gamma_t(args: argparse.Namespace) -> int:
     for g in _load_inputs(args.input):
-        cert = gamma_t(g)
+        try:
+            cert = gamma_t(g)
+        except IsolatedVertexError:
+            print(f"GAMMA graph={_g6(g)} n={g.n} m={g.m} error=isolated-vertex")
+            continue
         witness = ",".join(str(v) for v in sorted(cert.witness)) or "-"
         print(f"GAMMA graph={_g6(g)} n={g.n} m={g.m} gamma_t={cert.value} witness={witness}")
     return 0
@@ -130,7 +138,11 @@ def _fmt_inf(x) -> str:
 
 def _cmd_bondage(args: argparse.Namespace) -> int:
     for g in _load_inputs(args.input):
-        cert = bondage(g, cap=args.cap, work_budget=args.work_budget)
+        try:
+            cert = bondage(g, cap=args.cap, work_budget=args.work_budget)
+        except IsolatedVertexError:
+            print(f"BONDAGE graph={_g6(g)} n={g.n} m={g.m} error=isolated-vertex")
+            continue
         parts = [
             f"BONDAGE graph={_g6(g)}",
             f"n={g.n}",

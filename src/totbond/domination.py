@@ -19,6 +19,23 @@ root's packing bound.  Both bounds only cut subtrees that hold no cover;
 the branching vertex and the candidate order are those of the plain
 search, so every depth finds the same first cover and the witnesses do
 not depend on the bounds.
+
+`gamma_t` also splits V into coverer classes (`_coverer_classes`): two
+vertices share a class when they share a neighbour, closed under chains.
+The classes are the connected components, with a bipartite component
+split into its two sides, each covered only from the other.  No vertex
+covers two classes, so gamma_t is the sum of the per-class minima, and
+each class deepens `_cover_search` from its own packing bound with
+`uncovered` set to that class (van Rooij & Bodlaender, Discrete Appl.
+Math. 159, 2011).  The witness does not move: it is the greedy cover
+when that is already minimum, else the first cover one search over all
+of V finds at depth gamma_t, which is the set a single deepening loop
+over V returns.  In that search each pick covers one class only, the
+branching vertex and candidate order inside a class depend on that class
+alone, and with no budget to spare every class gets exactly its own
+minimum.  So it ends with the first cover of each class at that class's
+minimum.  The per-class searches find exactly those covers, and
+`gamma_t` joins them instead of searching V again.
 """
 
 from __future__ import annotations
@@ -133,6 +150,37 @@ def _cover_search(
     return None
 
 
+def _coverer_classes(adj: list[int], universe: int) -> list[int]:
+    """Split `universe` into classes whose coverer sets are pairwise disjoint.
+
+    Two vertices fall in one class when they share a coverer, that is a
+    common neighbour, closed under chains.  On the whole vertex set the
+    classes are the connected components, with a bipartite component
+    split into its two sides.  Classes come in order of lowest vertex.
+    """
+    classes: list[int] = []
+    rest = universe
+    while rest:
+        cls = frontier = rest & -rest
+        coverers = 0
+        while frontier:
+            # alternate steps: the new coverers of the frontier, then the
+            # universe vertices those coverers reach
+            fresh = 0
+            for v in _bits(frontier):
+                fresh |= adj[v]
+            fresh &= ~coverers
+            coverers |= fresh
+            frontier = 0
+            for u in _bits(fresh):
+                frontier |= adj[u]
+            frontier &= rest & ~cls
+            cls |= frontier
+        classes.append(cls)
+        rest &= ~cls
+    return classes
+
+
 def gamma_t(g: Graph) -> DominationCertificate:
     """Certified minimum total dominating set of g.
 
@@ -146,12 +194,32 @@ def gamma_t(g: Graph) -> DominationCertificate:
     full = (1 << g.n) - 1
     order = _packing_order(adj)
     best = _greedy_cover(adj, full, g.n)
-    lb = max(2, -(-g.n // g.max_degree()), _packing(order, full, g.n))
-    for k in range(lb, len(best)):
-        got = _cover_search(adj, order, full, k, [])
-        if got is not None:
-            best = got
-            break
+    delta = g.max_degree()
+    lb = max(2, -(-g.n // delta), _packing(order, full, g.n))
+    if lb < len(best):
+        # no vertex covers two classes, so a minimum cover is a minimum
+        # cover of each class side by side; one class is V itself, and
+        # its loop is the plain deepening loop from lb
+        parts = []
+        for cls in _coverer_classes(adj, full):
+            greedy = _greedy_cover(adj, cls, g.n)
+            start = max(-(-cls.bit_count() // delta), _packing(order, cls, g.n))
+            for k in range(start, len(greedy)):
+                got = _cover_search(adj, order, cls, k, [])
+                if got is not None:
+                    break
+            else:
+                k, got = len(greedy), None
+            parts.append((cls, k, got))
+        if sum(k for _, k, _ in parts) < len(best):
+            best = []
+            for cls, k, got in parts:
+                if got is None:
+                    # only the class's greedy cover reached its minimum:
+                    # take the first cover at that size, as the search
+                    # over V at depth gamma_t would
+                    got = _cover_search(adj, order, cls, k, [])
+                best += got
     return DominationCertificate(len(best), frozenset(best))
 
 

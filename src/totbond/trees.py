@@ -122,16 +122,21 @@ def _diameter_at_most(parent: list[int], h: int) -> bool:
     return True
 
 
+def check_tree_order(n: int) -> None:
+    """Raise ValueError unless `enumerate_trees` takes order n."""
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
+    if n > MAX_TREE_ORDER:
+        raise ValueError(f"tree enumeration capped at n = {MAX_TREE_ORDER}")
+
+
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """Yield one representative of every isomorphism class of trees on n vertices.
 
     Deterministic order: first appearance in rooted level-sequence order,
     each tree labelled by the preorder of that first sequence.
     """
-    if n < 1:
-        raise ValueError("tree order must be at least 1")
-    if n > MAX_TREE_ORDER:
-        raise ValueError(f"tree enumeration capped at n = {MAX_TREE_ORDER}")
+    check_tree_order(n)
     if n <= 2:
         yield tree_from_level_sequence(range(1, n + 1))
         return

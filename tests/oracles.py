@@ -284,3 +284,36 @@ def canonized_trees(n: int) -> Iterator[Graph]:
         if key not in seen:
             seen.add(key)
             yield t
+
+
+def deepening_gamma_t(g: Graph):
+    """Certified minimum TDS by one deepening loop over the whole universe.
+
+    The solver `totbond.domination.gamma_t` replaced.  That one solves
+    each coverer class on its own and takes the witness from the classes'
+    first covers; it must return the same value and the same witness.
+    """
+    from totbond.domination import (
+        DominationCertificate,
+        _cover_search,
+        _greedy_cover,
+        _packing,
+        _packing_order,
+    )
+    from totbond.graphs import IsolatedVertexError
+
+    if g.n == 0:
+        return DominationCertificate(0, frozenset())
+    if g.has_isolated_vertex():
+        raise IsolatedVertexError("total domination is undefined with isolated vertices")
+    adj = list(g.adj)
+    full = (1 << g.n) - 1
+    order = _packing_order(adj)
+    best = _greedy_cover(adj, full, g.n)
+    lb = max(2, -(-g.n // g.max_degree()), _packing(order, full, g.n))
+    for k in range(lb, len(best)):
+        got = _cover_search(adj, order, full, k, [])
+        if got is not None:
+            best = got
+            break
+    return DominationCertificate(len(best), frozenset(best))

@@ -101,6 +101,23 @@ class TestScalarCommands:
         assert "tree-sridharan=holds" in out
         assert "tree-rad=not-applicable" in out
 
+    @pytest.mark.parametrize("verb,tag", [("gamma-t", "GAMMA"), ("bondage", "BONDAGE")])
+    def test_k1_gets_error_record(self, capsys, graph_file, verb, tag):
+        k1 = Graph(1, (0,))
+        assert main([verb, graph_file(k1, cycle(4))]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"{tag} graph=@ n=1 m=0 error=isolated-vertex"
+        # the run goes on to the next graph
+        assert out[1].startswith(f"{tag} graph={g6(cycle(4))} ")
+        assert len(out) == 2
+
+    @pytest.mark.parametrize("verb,tag", [("gamma-t", "GAMMA"), ("bondage", "BONDAGE")])
+    def test_k2_plus_k1_gets_error_record(self, capsys, graph_file, verb, tag):
+        k2_k1 = Graph.from_edges(3, [(0, 1)])
+        assert main([verb, graph_file(k2_k1)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"{tag} graph={g6(k2_k1)} n=3 m=1 error=isolated-vertex"]
+
     def test_bounds_isolated_vertex(self, capsys, graph_file):
         k1, empty3 = Graph(1, (0,)), Graph(3, (0, 0, 0))
         assert main(["bounds", graph_file(k1, path(7), empty3)]) == 0
@@ -240,6 +257,16 @@ class TestCorpusResolution:
     def test_empty_range(self):
         with pytest.raises(SystemExit):
             resolve_corpus("paths:9..4")
+
+    def test_tree_range_checked_before_enumerating(self, monkeypatch):
+        from totbond import cli
+
+        calls = []
+        real = cli.enumerate_trees
+        monkeypatch.setattr(cli, "enumerate_trees", lambda n: calls.append(n) or real(n))
+        with pytest.raises(SystemExit, match="in corpus spec 'trees:15..17'$"):
+            resolve_corpus("trees:15..17")
+        assert calls == []
 
     @pytest.mark.parametrize("spec", ["trees:0..3", "trees:17..18"])
     def test_tree_order_out_of_range(self, spec):

@@ -1,12 +1,17 @@
 """Exact solver checked against a subset-sweep oracle on exhaustive corpora."""
 
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_gamma_t
+from oracles import brute_gamma_t, deepening_gamma_t
+from totbond.corpus import girth4_corpus, icosahedron_incidence
 from totbond.domination import (
     DominationCertificate,
+    _coverer_classes,
     _packing,
     _packing_order,
     exists_total_dominating_set,
@@ -79,6 +84,90 @@ class TestAgainstOracle:
     @given(isolate_free_graphs(7))
     def test_random_graphs(self, g):
         assert gamma_t(g).value == brute_gamma_t(g)
+
+
+def _classes(g):
+    return _coverer_classes(list(g.adj), (1 << g.n) - 1)
+
+
+class TestCovererClasses:
+    @pytest.mark.parametrize(
+        "g,want",
+        [
+            (cycle(6), [0b010101, 0b101010]),
+            (cycle(5), [0b11111]),
+            (Graph.from_edges(4, [(0, 1), (2, 3)]), [0b0001, 0b0010, 0b0100, 0b1000]),
+            (star(3), [0b0111, 0b1000]),
+            (path(5), [0b10101, 0b01010]),
+        ],
+        ids=["C6", "C5", "2K2", "star3", "P5"],
+    )
+    def test_known_splits(self, g, want):
+        assert _classes(g) == want
+
+    def test_partition_with_disjoint_coverers(self):
+        # each component gives two classes if it is bipartite, else one;
+        # the classes partition V and no vertex covers two of them
+        for n in range(2, 8):
+            for g in enumerate_graph_classes(n):
+                classes = _classes(g)
+                nxg = nx.Graph(g.edges())
+                nxg.add_nodes_from(range(g.n))
+                want = sum(
+                    2 if nx.is_bipartite(nxg.subgraph(c)) and len(c) > 1 else 1
+                    for c in nx.connected_components(nxg)
+                )
+                assert len(classes) == want, g
+                assert sum(classes) == (1 << g.n) - 1
+                coverers = [0] * len(classes)
+                for i, cls in enumerate(classes):
+                    for v in range(g.n):
+                        if cls >> v & 1:
+                            coverers[i] |= g.adj[v]
+                for i in range(len(classes)):
+                    for j in range(i):
+                        assert not coverers[i] & coverers[j], g
+
+    def test_part_of_the_universe(self):
+        # C6 minus vertex 0 from the universe: the odd side stays whole
+        assert _coverer_classes(list(cycle(6).adj), 0b111110) == [0b101010, 0b010100]
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+class TestAgainstDeepening:
+    """The class split must give the value and the witness of the single
+    deepening loop it replaced."""
+
+    def test_all_isolate_free_classes_n7(self):
+        # connected and disconnected
+        for n in range(2, 8):
+            for g in enumerate_graph_classes(n):
+                if g.has_isolated_vertex():
+                    continue
+                cert = gamma_t(g)
+                assert cert == deepening_gamma_t(g), g
+                assert cert.value == brute_gamma_t(g)
+
+    def test_girth4_relabelled(self):
+        for g in girth4_corpus():
+            if g.n > 44:
+                continue
+            for seed in range(3):
+                h = _relabelled(g, seed)
+                assert gamma_t(h) == deepening_gamma_t(h), (g, seed)
+
+    def test_icosahedron_incidence(self):
+        g = icosahedron_incidence()
+        assert len(_classes(g)) == 2
+        assert gamma_t(g) == deepening_gamma_t(g)
+
+    def test_empty_graph(self):
+        assert gamma_t(Graph(0, ())) == deepening_gamma_t(Graph(0, ()))
 
 
 class TestCertificates:

@@ -4,7 +4,9 @@ The gamma-t, witness-scan and planar-d8 hashes were taken from the CLI
 output of the code before the packing lower bound and the shared
 per-graph values of the witness scan; the all-tags campaign and bounds
 hashes from the code before the THEOREMS table; the tree hashes from the
-code that canonized every rooted tree.  Each change only skips
+code that canonized every rooted tree; the gamma-t hash of girth4
+orders 41..52 from the code that ran one deepening loop over the whole
+vertex set instead of one per coverer class.  Each change only skips
 work whose outcome is already known or restates the same rules, so
 every record, down to the witness sets the search finds first, must
 come out the same.
@@ -26,6 +28,7 @@ GIRTH4_N36 = {
     "gamma-t": "916cd41d09f86071ffdefac50d0125d17c8a1e678bdef49d4118c1f079df8bb9",
     "witness-scan": "8a21d2c92c1cf77b03b72e80e799561c00f5f5c4b0f2ce8fccd4aba96756a8e6",
 }
+GIRTH4_N41_52_GAMMA_T = "d43372b5315a324c546f1e6f0c41e8ef5788e6f5d28977e54f8fb89f95dde805"
 PLANAR_D8_N20 = "d4ed7d0fe64a24c692be77c7b46b302a7f02f92f0ee710cd1ff6101824f1bc81"
 GEN_TREES = {
     "14": "d076511ae0a32eb6d33ecf653b35d62d2766a4dbaaa9e1c46fccd2152479d1ab",
@@ -54,6 +57,13 @@ def girth4_small():
 def test_gamma_t_records(tmp_path, capsys, girth4_small):
     f = _write(tmp_path, "girth4.g6", girth4_small)
     assert _digest(capsys, ["gamma-t", f]) == GIRTH4_N36["gamma-t"]
+
+
+def test_gamma_t_records_n41_52(tmp_path, capsys):
+    graphs = [g for g in girth4_corpus() if 41 <= g.n <= 52]
+    assert len(graphs) == 51
+    f = _write(tmp_path, "girth4-41-52.g6", graphs)
+    assert _digest(capsys, ["gamma-t", f]) == GIRTH4_N41_52_GAMMA_T
 
 
 def test_witness_scan_records(tmp_path, capsys, girth4_small):
