@@ -213,37 +213,43 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from .planar import detect_borodin, detect_girth4_config
 
     rules = args.rules.split(",")
-    for g, emb in _load_with_embeddings(args.input):
+    for rule in rules:
+        if rule not in ("g4", "borodin"):
+            raise SystemExit(f"unknown detect rule {rule!r}")
+    if "borodin" in rules:
+        pairs = _load_with_embeddings(args.input)
+    else:  # g4 reads degrees only
+        pairs = [(g, None) for g in _load_inputs(args.input)]
+    for g, emb in pairs:
+        g6 = _g6(g)
         for rule in rules:
             if rule == "g4":
                 try:
                     report = detect_girth4_config(g)
                 except ValueError as exc:
-                    print(f"DETECT rule=g4 graph={_g6(g)} error={_slug(exc)}")
+                    print(f"DETECT rule=g4 graph={g6} error={_slug(exc)}")
                     continue
                 found = ",".join(report.tags) or "-"
                 print(
-                    f"DETECT rule=g4 graph={_g6(g)} n={g.n} m={g.m} "
+                    f"DETECT rule=g4 graph={g6} n={g.n} m={g.m} "
                     f"found={found} at_least_one={str(report.at_least_one).lower()}"
                 )
-            elif rule == "borodin":
+            else:
                 if emb is None:
-                    print(f"DETECT rule=borodin graph={_g6(g)} error=not-planar")
+                    print(f"DETECT rule=borodin graph={g6} error=not-planar")
                     continue
                 try:
                     report = detect_borodin(g, emb, args.reading)
                 except ValueError as exc:
-                    print(f"DETECT rule=borodin graph={_g6(g)} error={_slug(exc)}")
+                    print(f"DETECT rule=borodin graph={g6} error={_slug(exc)}")
                     continue
                 found = ",".join(report.tags) or "-"
                 print(
-                    f"DETECT rule=borodin graph={_g6(g)} n={g.n} m={g.m} "
+                    f"DETECT rule=borodin graph={g6} n={g.n} m={g.m} "
                     f"reading={args.reading} found={found} "
                     f"at_least_one={str(report.at_least_one).lower()} "
                     f"skipped_faces={len(report.skipped_faces)}"
                 )
-            else:
-                raise SystemExit(f"unknown detect rule {rule!r}")
     return 0
 
 
@@ -254,23 +260,22 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
         if emb is None:
             print(f"DISCHARGE graph={_g6(g)} error=not-planar")
             continue
-        base = charge_ledger(g, emb)
-        line = (
-            f"DISCHARGE graph={_g6(g)} n={g.n} m={g.m} faces={len(emb.faces)} "
-            f"total_initial={base.total_initial}"
-        )
-        if g.min_degree() >= 3 and g.girth() >= 4:
-            audit = discharge_audit(g, emb)
-            line += (
-                f" total_final={audit.total_final}"
-                f" transfers={len(audit.transfers)}"
-                f" negative_final={str(audit.has_negative_final).lower()}"
+        try:
+            ledger = discharge_audit(g, emb)
+            rule = (
+                f" total_final={ledger.total_final}"
+                f" transfers={len(ledger.transfers)}"
+                f" negative_final={str(ledger.has_negative_final).lower()}"
             )
-        else:
-            line += " rule=not-applicable"
-        print(line)
+        except ValueError:  # min degree below 3 or girth below 4
+            ledger = charge_ledger(g, emb)
+            rule = " rule=not-applicable"
+        print(
+            f"DISCHARGE graph={_g6(g)} n={g.n} m={g.m} faces={len(emb.faces)} "
+            f"total_initial={ledger.total_initial}" + rule
+        )
         if args.full:
-            for v, ci in enumerate(base.vertex_initial):
+            for v, ci in enumerate(ledger.vertex_initial):
                 print(f"  vertex={v} initial={ci}")
             for i, face in enumerate(emb.faces):
                 print(f"  face={i} length={len(face)} initial={len(face) - 4}")

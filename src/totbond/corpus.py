@@ -85,22 +85,6 @@ def antiprism(k: int) -> Graph:
     return Graph.from_edges(2 * k, edges)
 
 
-def theta_graph(a: int, b: int, c: int) -> Graph:
-    """Two hubs joined by three internally disjoint paths with a, b, c inner vertices."""
-    if min(a, b, c) < 1:
-        raise ValueError("each path needs at least one inner vertex")
-    edges = []
-    nxt = 2
-    for inner in (a, b, c):
-        prev = 0
-        for _ in range(inner):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-        edges.append((prev, 1))
-    return Graph.from_edges(nxt, edges)
-
-
 def tetrahedron() -> Graph:
     return complete(4)
 

@@ -5,6 +5,8 @@ traced with the successor rule: after arriving along the directed edge
 (u, v), leave along (v, w) where w follows u in the rotation at v.  Each
 directed edge lies on exactly one face walk, so sum of face lengths is 2m,
 and a genus-0 rotation system of a connected graph satisfies n - m + f = 2.
+Faces come in a fixed order: each walk starts at the least directed edge
+that no earlier walk used, found in one pass over the sorted edges.
 """
 from __future__ import annotations
 
@@ -75,16 +77,15 @@ def _trace_faces(rotation) -> tuple[tuple[int, ...], ...]:
             # after (u, v) comes (v, w): w follows u clockwise at v
             succ[(u, v)] = (v, order[(i + 1) % d])
     faces = []
-    unused = set(succ)
-    while unused:
-        start = min(unused)  # deterministic face order
+    # each face opens at its least dart not yet walked: one pass over the
+    # sorted darts, popping each dart from succ as its face walks it
+    for start in sorted(succ):
+        if start not in succ:
+            continue
         walk = []
         cur = start
-        while True:
+        while cur in succ:
             walk.append(cur[0])
-            unused.discard(cur)
-            cur = succ[cur]
-            if cur == start:
-                break
+            cur = succ.pop(cur)
         faces.append(tuple(walk))
     return tuple(faces)

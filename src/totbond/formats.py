@@ -2,13 +2,19 @@
 
 graph6 packs the upper triangle of the adjacency matrix in column order
 (bit (u, v) for v = 1..n-1, u = 0..v-1) into 6-bit chunks offset by 63.
-Edge lists are text lines "u v" with 0-based vertex ids.  planar_code is
-the binary embedding format: a ">>planar_code<<" header, then per graph a
-vertex count followed by each vertex's clockwise neighbor list, 1-based and
-0-terminated.  Parse failures report the byte offset where they happened.
+The codec never steps through single bits: each column of the triangle
+is one binary string, the joined string is one integer, and base64 does
+the 6-bit grouping, since its alphabet is the same 64 values in another
+order and one translation table maps the one onto the other.  Decoding
+runs the same steps backwards.  Edge lists are text lines "u v" with
+0-based vertex ids.  planar_code is the binary embedding format: a
+">>planar_code<<" header, then per graph a vertex count followed by each
+vertex's clockwise neighbor list, 1-based and 0-terminated.  Parse
+failures report the byte offset where they happened.
 """
 from __future__ import annotations
 
+import base64
 import io
 import os
 
@@ -17,6 +23,13 @@ from .graphs import Graph
 
 GRAPH6_HEADER = b">>graph6<<"
 PLANAR_CODE_HEADER = b">>planar_code<<"
+
+# graph6 bytes are the 6-bit values 0..63 offset by 63; base64 writes the
+# same values as these 64 letters
+G6_RANGE = bytes(range(63, 127))
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_B64 = bytes.maketrans(_B64_ALPHABET, G6_RANGE)
+_TO_B64 = bytes.maketrans(G6_RANGE, _B64_ALPHABET)
 
 
 class FormatError(ValueError):
@@ -47,20 +60,14 @@ def _g6_size_bytes(n: int) -> bytes:
 def graph6_bytes(g: Graph) -> bytes:
     """Encode a graph as one graph6 record (no header, no newline)."""
     n = g.n
-    out = bytearray(_g6_size_bytes(n))
-    bits = []
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            bits.append(col >> u & 1)
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(val + 63)
-    return bytes(out)
+    # column v holds the bits (u, v) for u = 0..v-1, lowest u first
+    bits = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
+    nchars = (len(bits) + 5) // 6
+    # base64 packs the same 6-bit groups, 4 to every 3 bytes
+    nbytes = (nchars + 3) // 4 * 3
+    packed = int(bits or "0", 2) << (8 * nbytes - len(bits))
+    body = base64.b64encode(packed.to_bytes(nbytes, "big"))[:nchars]
+    return _g6_size_bytes(n) + body.translate(_FROM_B64)
 
 
 def parse_graph6(record: bytes | str) -> Graph:
@@ -74,9 +81,10 @@ def parse_graph6(record: bytes | str) -> Graph:
         data = data[base:]
     if not data:
         raise FormatError("empty graph6 record", base)
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise FormatError(f"byte {b} outside graph6 range", base + i)
+    if data.translate(None, G6_RANGE):
+        for i, b in enumerate(data):
+            if not 63 <= b <= 126:
+                raise FormatError(f"byte {b} outside graph6 range", base + i)
     if data[0] != 126:
         n = data[0] - 63
         body = data[1:]
@@ -104,15 +112,19 @@ def parse_graph6(record: bytes | str) -> Graph:
         )
     if len(body) > nbytes:
         raise FormatError("trailing bytes after graph6 record", body_off + nbytes)
+    # "A" is base64 for six zero bits: pad to whole 4-character groups
+    packed = base64.b64decode(body.translate(_TO_B64) + b"A" * (-nbytes % 4))
+    bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
     masks = [0] * n
-    idx = 0
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            b = body[idx // 6]
-            if (b - 63) >> (5 - idx % 6) & 1:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            idx += 1
+        col = int(bits[start : start + v][::-1], 2)
+        start += v
+        masks[v] = col
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= 1 << v
+            col ^= low
     return Graph(n, tuple(masks))
 
 
@@ -162,10 +174,6 @@ def parse_edge_list(text: str | bytes) -> Graph:
             top = max(top, u, v)
         offset += len(line.encode("ascii", errors="replace"))
     return Graph.from_edges(top + 1, edges)
-
-
-def edge_list_text(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 def edges_text(edges) -> str:
@@ -222,20 +230,6 @@ def iter_planar_code(stream) -> "iter[Embedding]":
                 start,
             )
         yield emb
-
-
-def planar_code_bytes(embeddings) -> bytes:
-    """Encode embeddings as a planar_code stream (header included)."""
-    out = bytearray(PLANAR_CODE_HEADER)
-    for emb in embeddings:
-        n = emb.graph.n
-        if not 1 <= n <= 255:
-            raise ValueError("planar_code byte variant needs 1 <= n <= 255")
-        out.append(n)
-        for order in emb.rotation:
-            out.extend(u + 1 for u in order)
-            out.append(0)
-    return bytes(out)
 
 
 # -- format dispatch -------------------------------------------------------------

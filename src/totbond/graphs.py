@@ -162,29 +162,41 @@ class Graph:
         return inf
 
     def girth(self):
-        """Length of a shortest cycle, or math.inf for acyclic graphs."""
+        """Length of a shortest cycle, or math.inf for acyclic graphs.
+
+        A breadth-first search from each root, one layer of bitmasks at a
+        time.  An edge inside layer d closes a walk of length 2d + 1
+        through the root, and a vertex of layer d + 1 with two neighbours
+        in layer d one of length 2d + 2; each walk holds a cycle no
+        longer than itself, and a root on a shortest cycle finds that
+        cycle's length exactly.
+        """
         best = inf
+        adj = self.adj
         for root in range(self.n):
-            dist = [-1] * self.n
-            parent = [-1] * self.n
-            dist[root] = 0
-            queue = [root]
-            head = 0
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                # cycles through the BFS tree cannot get shorter past this depth
-                if best is not inf and 2 * dist[x] >= best:
+            seen = layer_mask = 1 << root
+            layer = [root]
+            d = 0
+            while True:
+                nxt = 0
+                for x in layer:
+                    a = adj[x]
+                    if a & layer_mask:
+                        best = 2 * d + 1
+                        break
+                    new = a & ~seen
+                    if new & nxt:
+                        best = min(best, 2 * d + 2)
+                    nxt |= new
+                d += 1
+                # a later layer closes no walk shorter than 2d + 1
+                if not nxt or 2 * d + 1 >= best:
                     break
-                for y in _bits(self.adj[x]):
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        queue.append(y)
-                    elif y != parent[x]:
-                        cand = dist[x] + dist[y] + 1
-                        if cand < best:
-                            best = cand
+                seen |= nxt
+                layer_mask = nxt
+                layer = list(_bits(nxt))
+            if best == 3:
+                break
         return best
 
     # -- degree-structure queries --------------------------------------------

@@ -89,6 +89,7 @@ def detect_borodin(g: Graph, emb: Embedding, reading: str = AT_MOST) -> Configur
         raise ValueError("embedding does not belong to this graph")
     hits: dict = {tag: [] for tag in BORODIN_TAGS}
     skipped = []
+    deg = g.degrees()
     for verts in emb.faces:
         k = len(verts)
         if len(set(verts)) != k:
@@ -96,11 +97,11 @@ def detect_borodin(g: Graph, emb: Embedding, reading: str = AT_MOST) -> Configur
             continue
         if k not in (3, 4, 5):
             continue
-        degs = sorted(g.degree(v) for v in verts)
+        degs = sorted(deg[v] for v in verts)
         if k == 3:
             for i in range(3):
                 u, v = verts[i], verts[(i + 1) % 3]
-                p, q = g.classify_edge(u, v)
+                p, q = sorted((deg[u], deg[v]))
                 if _match_triangle_edge(p, q, reading):
                     hits["borodin-a"].append((verts, edge_key(u, v)))
         elif k == 4:
@@ -138,18 +139,16 @@ def detect_girth4_config(g: Graph) -> ConfigurationReport:
     """
     if g.min_degree() < 3:
         raise ValueError("detector requires minimum degree 3")
+    deg = g.degrees()
     a_hits = []
-    for u, v in g.edges():
-        p, q = g.classify_edge(u, v)
+    for u, v in g.edges():  # u < v already
+        p, q = sorted((deg[u], deg[v]))
         if p == 3 and q <= 4:
-            a_hits.append(edge_key(u, v))
-    b_hits = []
-    for v in range(g.n):
-        if g.degree(v) != 5:
-            continue
-        low = sum(1 for u in g.neighbors(v) if g.degree(u) == 3)
-        if low >= 4:
-            b_hits.append(v)
+            a_hits.append((u, v))
+    b_hits = [
+        v for v in range(g.n)
+        if deg[v] == 5 and sum(1 for u in g.neighbors(v) if deg[u] == 3) >= 4
+    ]
     found = tuple(
         tag for tag, hit in zip(GIRTH4_TAGS, (a_hits, b_hits)) if hit
     )
@@ -179,25 +178,31 @@ class ChargeLedger:
     has_negative_final: bool
 
 
-def _ledger(g: Graph, emb: Embedding, transfers: list[tuple[int, int, Fraction]]) -> ChargeLedger:
-    v_init = tuple(Fraction(g.degree(v) - 4) for v in range(g.n))
-    f_init = tuple(Fraction(len(face) - 4) for face in emb.faces)
+def _ledger(g: Graph, emb: Embedding, moves: list[tuple[int, int]]) -> ChargeLedger:
+    """The ledger after each (donor, recipient) move passes 1/3 of a unit.
+
+    Charges are summed in integer thirds; each distinct value becomes one
+    Fraction at the end.
+    """
+    v_init = [3 * (g.degree(v) - 4) for v in range(g.n)]
+    f_init = [3 * (len(face) - 4) for face in emb.faces]
     v_final = list(v_init)
-    for donor, recipient, amount in transfers:
-        v_final[donor] -= amount
-        v_final[recipient] += amount
-    total_i = sum(v_init, Fraction(0)) + sum(f_init, Fraction(0))
-    total_f = sum(v_final, Fraction(0)) + sum(f_init, Fraction(0))
-    negative = any(c < 0 for c in v_final) or any(c < 0 for c in f_init)
+    for donor, recipient in moves:
+        v_final[donor] -= 1
+        v_final[recipient] += 1
+    total_i = sum(v_init) + sum(f_init)
+    total_f = sum(v_final) + sum(f_init)
+    frac = {k: Fraction(k, 3) for k in {1, total_i, total_f, *v_init, *v_final, *f_init}}
+    faces = tuple(frac[c] for c in f_init)
     return ChargeLedger(
-        vertex_initial=v_init,
-        face_initial=f_init,
-        transfers=tuple(transfers),
-        vertex_final=tuple(v_final),
-        face_final=f_init,
-        total_initial=total_i,
-        total_final=total_f,
-        has_negative_final=negative,
+        vertex_initial=tuple(frac[c] for c in v_init),
+        face_initial=faces,
+        transfers=tuple((donor, recipient, frac[1]) for donor, recipient in moves),
+        vertex_final=tuple(frac[c] for c in v_final),
+        face_final=faces,
+        total_initial=frac[total_i],
+        total_final=frac[total_f],
+        has_negative_final=any(c < 0 for c in v_final) or any(c < 0 for c in f_init),
     )
 
 
@@ -222,11 +227,5 @@ def discharge_audit(g: Graph, emb: Embedding) -> ChargeLedger:
         raise ValueError("discharging rule requires minimum degree 3")
     if g.girth() < 4:
         raise ValueError("discharging rule requires girth at least 4")
-    third = Fraction(1, 3)
-    transfers = [
-        (u, v, third)
-        for v in range(g.n)
-        if g.degree(v) == 3
-        for u in g.neighbors(v)
-    ]
-    return _ledger(g, emb, transfers)
+    moves = [(u, v) for v in range(g.n) if g.degree(v) == 3 for u in g.neighbors(v)]
+    return _ledger(g, emb, moves)

@@ -11,7 +11,6 @@ scale (n <= 9) only.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
 from .graphs import Graph, _bits
@@ -257,10 +256,3 @@ def enumerate_graph_classes(
                 out.append(child)
         reps = out
     return reps
-
-
-def labeled_count_identity(n: int) -> tuple[int, int]:
-    """(sum over classes of n!/|Aut|, 2^C(n,2)); equal iff enumeration is complete."""
-    fact = math.factorial(n)
-    total = sum(fact // count_automorphisms(g) for g in enumerate_graph_classes(n))
-    return total, 1 << (n * (n - 1) // 2)

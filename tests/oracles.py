@@ -12,7 +12,9 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from totbond.graphs import Graph
+from totbond.formats import GRAPH6_HEADER, PLANAR_CODE_HEADER, FormatError, _g6_size_bytes
+from totbond.graphs import Graph, _bits
+from totbond.smallgraphs import count_automorphisms, enumerate_graph_classes
 
 
 def brute_gamma_t(g: Graph) -> int | None:
@@ -317,3 +319,153 @@ def deepening_gamma_t(g: Graph):
             best = got
             break
     return DominationCertificate(len(best), frozenset(best))
+
+
+# The graph6 codec that `totbond.formats` replaced: one Python step per bit
+# of the upper triangle.  The production codec must give the same bytes,
+# graphs and FormatError offsets.
+def bitwise_graph6_bytes(g: Graph) -> bytes:
+    """Encode a graph as one graph6 record (no header, no newline)."""
+    n = g.n
+    out = bytearray(_g6_size_bytes(n))
+    bits = []
+    for v in range(1, n):
+        col = g.adj[v]
+        for u in range(v):
+            bits.append(col >> u & 1)
+    for i in range(0, len(bits), 6):
+        chunk = bits[i : i + 6]
+        chunk += [0] * (6 - len(chunk))
+        val = 0
+        for b in chunk:
+            val = val << 1 | b
+        out.append(val + 63)
+    return bytes(out)
+
+
+def bitwise_parse_graph6(record: bytes | str) -> Graph:
+    """Decode one graph6 record (optionally prefixed by the format header)."""
+    if isinstance(record, str):
+        record = record.encode("ascii", errors="replace")
+    data = record.strip()
+    base = 0
+    if data.startswith(GRAPH6_HEADER):
+        base = len(GRAPH6_HEADER)
+        data = data[base:]
+    if not data:
+        raise FormatError("empty graph6 record", base)
+    for i, b in enumerate(data):
+        if not 63 <= b <= 126:
+            raise FormatError(f"byte {b} outside graph6 range", base + i)
+    if data[0] != 126:
+        n = data[0] - 63
+        body = data[1:]
+        body_off = base + 1
+    elif len(data) >= 2 and data[1] != 126:
+        if len(data) < 4:
+            raise FormatError("truncated graph6 size field", base + len(data))
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        body = data[4:]
+        body_off = base + 4
+    else:
+        if len(data) < 8:
+            raise FormatError("truncated graph6 size field", base + len(data))
+        n = 0
+        for b in data[2:8]:
+            n = n << 6 | (b - 63)
+        body = data[8:]
+        body_off = base + 8
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(body) < nbytes:
+        raise FormatError(
+            f"graph6 record too short: need {nbytes} data bytes, got {len(body)}",
+            body_off + len(body),
+        )
+    if len(body) > nbytes:
+        raise FormatError("trailing bytes after graph6 record", body_off + nbytes)
+    masks = [0] * n
+    idx = 0
+    for v in range(1, n):
+        for u in range(v):
+            b = body[idx // 6]
+            if (b - 63) >> (5 - idx % 6) & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            idx += 1
+    return Graph(n, tuple(masks))
+
+
+def tree_bfs_girth(g: Graph):
+    """Length of a shortest cycle, or math.inf for acyclic graphs.
+
+    The `Graph.girth` that the layer-mask search replaced: a breadth-first
+    search from each root that tracks BFS parents, one edge at a time.
+    """
+    best = math.inf
+    for root in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[root] = 0
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            # cycles through the BFS tree cannot get shorter past this depth
+            if best is not math.inf and 2 * dist[x] >= best:
+                break
+            for y in _bits(g.adj[x]):
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+                elif y != parent[x]:
+                    cand = dist[x] + dist[y] + 1
+                    if cand < best:
+                        best = cand
+    return best
+
+
+# Writers and builders that only the tests use.
+
+
+def edge_list_text(g: Graph) -> str:
+    return "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
+def planar_code_bytes(embeddings) -> bytes:
+    """Encode embeddings as a planar_code stream (header included)."""
+    out = bytearray(PLANAR_CODE_HEADER)
+    for emb in embeddings:
+        n = emb.graph.n
+        if not 1 <= n <= 255:
+            raise ValueError("planar_code byte variant needs 1 <= n <= 255")
+        out.append(n)
+        for order in emb.rotation:
+            out.extend(u + 1 for u in order)
+            out.append(0)
+    return bytes(out)
+
+
+def theta_graph(a: int, b: int, c: int) -> Graph:
+    """Two hubs joined by three internally disjoint paths with a, b, c inner vertices."""
+    if min(a, b, c) < 1:
+        raise ValueError("each path needs at least one inner vertex")
+    edges = []
+    nxt = 2
+    for inner in (a, b, c):
+        prev = 0
+        for _ in range(inner):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        edges.append((prev, 1))
+    return Graph.from_edges(nxt, edges)
+
+
+def labeled_count_identity(n: int) -> tuple[int, int]:
+    """(sum over classes of n!/|Aut|, 2^C(n,2)); equal iff enumeration is complete."""
+    fact = math.factorial(n)
+    total = sum(fact // count_automorphisms(g) for g in enumerate_graph_classes(n))
+    return total, 1 << (n * (n - 1) // 2)

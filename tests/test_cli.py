@@ -183,7 +183,51 @@ class TestDetect:
         assert loose != strict
 
 
+    def test_unknown_rule_rejected_before_any_record(self, capsys, graph_file):
+        from totbond.corpus import cube
+
+        f = graph_file(cube(), cube())
+        with pytest.raises(SystemExit, match="unknown detect rule 'bogus'"):
+            main(["detect", f, "--rules", "g4,bogus"])
+        assert capsys.readouterr().out == ""
+
+    def test_unknown_rule_rejected_before_reading_input(self):
+        with pytest.raises(SystemExit, match="unknown detect rule 'bogus'"):
+            main(["detect", "/tmp/totbond-no-such-file.g6", "--rules", "bogus"])
+
+    def test_embeddings_only_for_borodin(self, capsys, graph_file, monkeypatch):
+        import totbond.planar
+        from totbond.corpus import cube, icosahedron
+
+        calls = []
+        real = totbond.planar.planar_embedding
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(totbond.planar, "planar_embedding", counted)
+        f = graph_file(cube(), icosahedron())
+        assert main(["detect", f, "--rules", "g4"]) == 0
+        assert capsys.readouterr().out.count("DETECT rule=g4 ") == 2
+        assert calls == []
+        assert main(["detect", f, "--rules", "g4,borodin"]) == 0
+        assert capsys.readouterr().out.count("DETECT rule=borodin ") == 2
+        assert calls == [cube(), icosahedron()]
+
+
 class TestDischarge:
+    def test_rule_not_applicable(self, capsys, graph_file):
+        from totbond.families import complete
+
+        # K4 has minimum degree 3 but a triangle; C4 has girth 4 but degree 2
+        assert main(["discharge", graph_file(complete(4), cycle(4))]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split(" ", 2)[2] for ln in out] == [
+            "n=4 m=6 faces=4 total_initial=-8 rule=not-applicable",
+            "n=4 m=4 faces=2 total_initial=-8 rule=not-applicable",
+        ]
+
     def test_summary(self, capsys, graph_file):
         from totbond.corpus import cube
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import brute_girth
+from oracles import brute_girth, theta_graph
 from totbond.corpus import (
     antiprism,
     capped_cylinder,
@@ -18,7 +18,6 @@ from totbond.corpus import (
     prism,
     pseudo_double_wheel,
     tetrahedron,
-    theta_graph,
     wheel,
 )
 from totbond.planar import is_planar

@@ -72,6 +72,29 @@ class TestFaceTracing:
             darts += [(verts[i], verts[(i + 1) % k]) for i in range(k)]
         assert len(darts) == len(set(darts)) == 2 * emb.graph.m
 
+    def test_faces_open_at_least_unused_dart(self):
+        """Face order: each walk starts at the least dart no earlier face used."""
+        from totbond.corpus import girth4_corpus, planar_min3_corpus
+        from totbond.planar import planar_embedding
+
+        rotations = [
+            [(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)],
+            [(1,), (0,), (3,), (2,)],
+            ring_rotation(7),
+        ] + [planar_embedding(g).rotation for g in planar_min3_corpus()] + [
+            planar_embedding(g).rotation for g in girth4_corpus() if g.n <= 40
+        ]
+        for rot in rotations:
+            emb = Embedding.from_rotation(rot)
+            unused = {(u, v) for v in range(len(rot)) for u in rot[v]}
+            for verts in emb.faces:
+                k = len(verts)
+                walk = [(verts[i], verts[(i + 1) % k]) for i in range(k)]
+                assert walk[0] == min(unused)
+                assert unused.issuperset(walk)
+                unused.difference_update(walk)
+            assert not unused
+
     def test_disconnected_not_spherical(self):
         emb = Embedding.from_rotation([(1,), (0,), (3,), (2,)])
         assert not emb.is_spherical()

@@ -1,24 +1,26 @@
 """Serialization round trips against the networkx codec and hand values."""
 
 import io
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bitwise_graph6_bytes, bitwise_parse_graph6, edge_list_text, planar_code_bytes
+from totbond.corpus import girth4_corpus
 from totbond.embedding import Embedding
 from totbond.families import complete, complete_bipartite, cycle, path
 from totbond.formats import (
+    GRAPH6_HEADER,
     FormatError,
-    edge_list_text,
     edges_text,
     graph6_bytes,
     iter_graph6,
     iter_planar_code,
     parse_edge_list,
     parse_graph6,
-    planar_code_bytes,
     read_embeddings,
     parse_graphs,
     read_graphs,
@@ -87,12 +89,72 @@ class TestGraph6:
         with pytest.raises(FormatError):
             parse_graph6(b"C~~~")
 
+    def test_offsets_match_bitwise_codec(self):
+        cases = [
+            b"C\x1f~",  # bad byte in a one-byte size field record
+            b">>graph6<<C~\x80",  # bad byte after a header
+            b"E",  # promises 6 vertices, no matrix bytes
+            b"C~~~",  # trailing bytes
+            b"~??",  # truncated four-byte size field
+            b"~~???",  # truncated eight-byte size field
+        ]
+        clean = graph6_bytes(path(100))
+        assert clean[0] == 126 and len(clean) == 829
+        bad = clean[:700] + b"\x7f" + clean[701:]  # deep in a four-byte size field record
+        cases += [bad, clean[:-40], clean + b"??"]
+        for data in cases:
+            with pytest.raises(FormatError) as got:
+                parse_graph6(data)
+            with pytest.raises(FormatError) as want:
+                bitwise_parse_graph6(data)
+            assert (got.value.offset, str(got.value)) == (want.value.offset, str(want.value))
+        with pytest.raises(FormatError) as err:
+            parse_graph6(bad)
+        assert err.value.offset == 700
+
     def test_stream_round_trip(self):
         graphs = [path(4), cycle(5), complete(3)]
         buf = io.BytesIO()
         write_graph6(graphs, buf)
         buf.seek(0)
         assert list(iter_graph6(buf)) == graphs
+
+
+def _random_graph(n, p, rng):
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+class TestAgainstBitwiseCodec:
+    """The packed codec gives the bytes and graphs of the bit-at-a-time one."""
+
+    def check(self, g):
+        blob = bitwise_graph6_bytes(g)
+        assert graph6_bytes(g) == blob
+        assert parse_graph6(blob) == bitwise_parse_graph6(blob) == g
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+    def test_every_order_to_130(self, p):
+        rng = random.Random(int(p * 100))
+        for n in range(131):
+            self.check(_random_graph(n, p, rng))
+
+    def test_size_field_boundary(self):
+        rng = random.Random(62)
+        for n in (62, 63):
+            for p in (0.0, 0.3, 0.7, 1.0):
+                g = _random_graph(n, p, rng)
+                self.check(g)
+                assert (graph6_bytes(g)[0] == 126) == (n == 63)
+
+    def test_girth4_corpus(self):
+        for g in girth4_corpus():
+            self.check(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_up_to(24))
+    def test_round_trip(self, g):
+        self.check(g)
+        assert parse_graph6(GRAPH6_HEADER + graph6_bytes(g) + b"\n") == g
 
 
 class TestEdgeList:

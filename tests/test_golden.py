@@ -6,19 +6,23 @@ per-graph values of the witness scan; the all-tags campaign and bounds
 hashes from the code before the THEOREMS table; the tree hashes from the
 code that canonized every rooted tree; the gamma-t hash of girth4
 orders 41..52 from the code that ran one deepening loop over the whole
-vertex set instead of one per coverer class.  Each change only skips
-work whose outcome is already known or restates the same rules, so
-every record, down to the witness sets the search finds first, must
-come out the same.
+vertex set instead of one per coverer class; the detect and discharge
+hashes, and the tree hash of order 16, from the code that packed and
+unpacked graph6 one bit at a time, traced each face from the least
+unused dart, kept the charge ledger in Fractions and walked the BFS tree
+edge by edge for the girth.  Each change only skips work whose outcome
+is already known or restates the same rules, so every record, down to
+the witness sets the search finds first, must come out the same.
 """
 
 import hashlib
 
 import pytest
 
+from oracles import theta_graph
 from totbond.campaigns import THEOREM_TAGS
 from totbond.cli import main
-from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus, theta_graph
+from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus
 from totbond.families import complete, complete_multipartite, cycle, path
 from totbond.formats import write_graph6
 from totbond.graphs import Graph
@@ -33,6 +37,7 @@ PLANAR_D8_N20 = "d4ed7d0fe64a24c692be77c7b46b302a7f02f92f0ee710cd1ff6101824f1bc8
 GEN_TREES = {
     "14": "d076511ae0a32eb6d33ecf653b35d62d2766a4dbaaa9e1c46fccd2152479d1ab",
     "15": "c1908aa47307545566d7e43b8dc3f8cac326a1a8f528a4ca5847f455bd1592da",
+    "16": "aa3e32e7700360042fa29654de607f0b8c768dbe0a852df1c97b81c3ba3bc41d",
 }
 TREE_N23_5_14 = "95bce7b96f67213a529654a9c37032ee1e876322a369bc3d0c389cce53195123"
 
@@ -86,6 +91,41 @@ def test_gen_trees_records(capsys, n):
 def test_tree_n23_campaign_records(capsys):
     argv = ["campaign", "--theorem", "thm-tree-n23", "--corpus", "trees:5..14", "--jobs", "1"]
     assert _digest(capsys, argv) == TREE_N23_5_14
+
+
+# detect and discharge on the two planar corpora: every graph6 decode and
+# record encode, every traced face and every charge ledger total
+PLANAR_VERBS = {
+    "detect-at-most": ["detect", "--rules", "g4,borodin", "--reading", "at-most"],
+    "detect-exact": ["detect", "--rules", "g4,borodin", "--reading", "exact"],
+    "discharge": ["discharge"],
+    "discharge-full": ["discharge", "--full"],
+}
+PLANAR_VERB_RECORDS = {
+    ("girth4", "detect-at-most"): "445c8d1ae2924bf3e34d26ebd8c591b227c2c7771057d7f541ab142603e2389e",
+    ("girth4", "detect-exact"): "9ac4fceb3f23a2d15ef9f4a7a4583b50212cdae1128183633138062dd7f8dc51",
+    ("girth4", "discharge"): "7724f49b4f6bc025bebcd72f50b014413bd683e58922784103c04e2f92f1842e",
+    ("girth4", "discharge-full"): "f78605437dca33548d020ea01c0cf44fadff80eedff0f271b8df2e59649e6b66",
+    ("planar-min3", "detect-at-most"): "8073dec8ec0566ab88e73a0e60122565e1136e5d4bc5a74c562ebd92fd49d87d",
+    ("planar-min3", "detect-exact"): "838ef3eb7a429eae0506999e8966feac93bd3a833446e4f778bcb49cc1f038e4",
+    ("planar-min3", "discharge"): "deaf6390f8b28e21f147dff78448138abf6f8c7f6f78651e1f331591b7daacd7",
+    ("planar-min3", "discharge-full"): "4c6119d65cf5b7c12c54b919f44e041f977fb03bd1506ef117e9d758b06045e7",
+}
+
+
+@pytest.fixture(scope="module")
+def planar_corpus_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("planar")
+    return {
+        "girth4": _write(d, "girth4.g6", girth4_corpus()),
+        "planar-min3": _write(d, "planar-min3.g6", planar_min3_corpus()),
+    }
+
+
+@pytest.mark.parametrize("corpus,verb", sorted(PLANAR_VERB_RECORDS))
+def test_planar_verb_records(capsys, planar_corpus_files, corpus, verb):
+    argv = PLANAR_VERBS[verb][:1] + [planar_corpus_files[corpus]] + PLANAR_VERBS[verb][1:]
+    assert _digest(capsys, argv) == PLANAR_VERB_RECORDS[corpus, verb]
 
 
 # Every campaign tag and the prior-bound checks on corpora that meet and miss

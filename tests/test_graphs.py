@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from totbond.families import complete, complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError, edge_key
 
-from oracles import brute_girth
+from oracles import brute_girth, tree_bfs_girth
 
 
 def random_graph_strategy(max_n=8):
@@ -95,6 +95,32 @@ class TestQueries:
     @given(random_graph_strategy(max_n=7))
     def test_girth_matches_brute_force(self, g):
         assert g.girth() == brute_girth(g)
+
+    def test_girth_every_class_to_7(self):
+        from totbond.smallgraphs import enumerate_graph_classes
+
+        for n in range(1, 8):
+            for g in enumerate_graph_classes(n):
+                assert g.girth() == brute_girth(g)
+
+    def test_girth_matches_tree_bfs_and_networkx(self):
+        import random
+
+        from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus
+
+        rng = random.Random(4)
+        graphs = list(girth4_corpus()) + list(planar_min3_corpus()) + [icosahedron_incidence()]
+        graphs += [cycle(k) for k in range(3, 41)] + [path(k) for k in range(1, 12)]
+        for n in range(2, 80, 3):
+            for p in (0.02, 0.05, 0.1, 0.3):
+                graphs.append(Graph.from_edges(
+                    n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+        # two disjoint cycles: the shorter one is far from vertex 0
+        graphs.append(Graph.from_edges(
+            16, [(i, (i + 1) % 11) for i in range(11)] + [(11 + i, 11 + (i + 1) % 5) for i in range(5)]))
+        for g in graphs:
+            want = nx.girth(to_nx(g))
+            assert g.girth() == tree_bfs_girth(g) == want
 
     def test_girth_known_values(self):
         assert path(5).girth() == math.inf

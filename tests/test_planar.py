@@ -237,6 +237,34 @@ class TestCharging:
             led.vertex_initial, Fraction(0)
         )
 
+    @pytest.mark.parametrize("g", [cube(), icosahedron_incidence(), icosahedron(), complete(4)])
+    def test_fields_match_fraction_sums(self, g):
+        """The integer-thirds ledger equals the rule summed in Fractions."""
+        emb = planar_embedding(g)
+        third = Fraction(1, 3)
+        v_init = [Fraction(g.degree(v) - 4) for v in range(g.n)]
+        f_init = [Fraction(len(f) - 4) for f in emb.faces]
+        v_final = list(v_init)
+        rows = []
+        if g.girth() >= 4:
+            rows = [(u, v, third) for v in range(g.n) if g.degree(v) == 3 for u in g.neighbors(v)]
+            led = discharge_audit(g, emb)
+        else:
+            led = charge_ledger(g, emb)
+        for donor, recipient, amount in rows:
+            v_final[donor] -= amount
+            v_final[recipient] += amount
+        assert led.vertex_initial == tuple(v_init)
+        assert led.face_initial == led.face_final == tuple(f_init)
+        assert led.transfers == tuple(rows)
+        assert led.vertex_final == tuple(v_final)
+        assert led.total_initial == sum(v_init) + sum(f_init)
+        assert led.total_final == sum(v_final) + sum(f_init)
+        assert led.has_negative_final == (min(v_final + f_init) < 0)
+        fields = [*led.vertex_initial, *led.face_initial, *led.vertex_final,
+                  led.total_initial, led.total_final, *(amt for _, _, amt in led.transfers)]
+        assert all(type(x) is Fraction for x in fields)
+
     def test_discharge_requires_girth(self):
         g = complete(4)
         with pytest.raises(ValueError):

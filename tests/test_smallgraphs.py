@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_girth, brute_is_isomorphic
+from oracles import brute_girth, brute_is_isomorphic, labeled_count_identity
 from totbond.graphs import Graph
 from totbond.smallgraphs import (
     count_automorphisms,
     enumerate_graph_classes,
     enumerate_small_graphs,
     is_isomorphic,
-    labeled_count_identity,
 )
 
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
