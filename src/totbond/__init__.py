@@ -3,7 +3,6 @@
 from .bondage import (
     BondageCertificate,
     bondage,
-    bondage_finite,
     max_matching_size,
 )
 from .campaigns import (
@@ -29,7 +28,6 @@ from .formats import (
     parse_graph6,
     parse_graphs,
     read_embeddings,
-    read_graph,
     read_graphs,
 )
 from .graphs import Edge, Graph, IsolatedVertexError
@@ -52,14 +50,10 @@ from .smallgraphs import (
 from .trees import enumerate_trees
 from .witnesses import (
     WitnessReport,
+    apply_rule,
     find_anchors,
     scan_witnesses,
-    witness_cycle4,
-    witness_cycle5,
-    witness_deg2_dist3,
-    witness_deg3_dist2,
     witness_multipartite,
-    witness_triangle,
 )
 
 __version__ = "0.1.0"
@@ -80,8 +74,8 @@ __all__ = [
     "GraphOutcome",
     "IsolatedVertexError",
     "WitnessReport",
+    "apply_rule",
     "bondage",
-    "bondage_finite",
     "charge_ledger",
     "complete",
     "complete_bipartite",
@@ -108,7 +102,6 @@ __all__ = [
     "path",
     "planar_embedding",
     "read_embeddings",
-    "read_graph",
     "read_graphs",
     "run_campaign",
     "scan_witnesses",
@@ -116,10 +109,5 @@ __all__ = [
     "star",
     "subdivided_star",
     "verify_prior_bounds",
-    "witness_cycle4",
-    "witness_cycle5",
-    "witness_deg2_dist3",
-    "witness_deg3_dist2",
     "witness_multipartite",
-    "witness_triangle",
 ]

@@ -183,11 +183,6 @@ def max_matching_size(g: Graph) -> int:
     return size
 
 
-def bondage_finite(g: Graph) -> bool:
-    """Whether any edge subset raises gamma_t while leaving no isolate."""
-    return 2 * max_matching_size(g) > gamma_t(g).value
-
-
 class _OutOfBudget(Exception):
     """The work budget ran out inside the level being swept."""
 

@@ -23,6 +23,7 @@ from .formats import edges_text, graph6_bytes
 from .graphs import Graph
 from .smallgraphs import is_isomorphic
 from .families import star, subdivided_star
+from .witnesses import iter_anchors
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -246,13 +247,9 @@ def _parts_of_2_or_more(g: Graph) -> bool:
     return _multipartite_parts(g)[-1] >= 2
 
 
-def _two_close_2_vertices(g: Graph) -> bool:
-    twos = [v for v in range(g.n) if g.degree(v) == 2]
-    return any(
-        1 <= g.distance(a, b) <= 3
-        for i, a in enumerate(twos)
-        for b in twos[i + 1 :]
-    )
+def _no_light_edge(g: Graph) -> bool:
+    deg = g.degrees()
+    return all(deg[u] + deg[v] >= 8 for u, v in g.edges())
 
 
 # A judge checks an upper bound on b_t or an exact value of b_t, or runs
@@ -313,7 +310,9 @@ THEOREMS: dict[str, Theorem] = {
         (
             _CONNECTED,
             Hypothesis("min-degree-below-2", lambda g: g.min_degree() >= 2),
-            Hypothesis("no-2-vertices-within-distance-3", _two_close_2_vertices),
+            # the anchor finder of the deg2-dist3 witness rule, stopped at its first pair
+            Hypothesis("no-2-vertices-within-distance-3", lambda g: any(
+                iter_anchors(g, "deg2-dist3"))),
         ),
         partial(_upper_bound, bound=lambda g: g.max_degree() + 1),
     ),
@@ -331,8 +330,7 @@ THEOREMS: dict[str, Theorem] = {
             _MIN_DEGREE_3,
             _GIRTH_4,
             _PLANAR,
-            Hypothesis("has-low-degree-sum-edge", lambda g: all(
-                sum(g.classify_edge(u, v)) >= 8 for u, v in g.edges())),
+            Hypothesis("has-low-degree-sum-edge", _no_light_edge),
         ),
         partial(_upper_bound, bound=lambda g: g.max_degree() + 3),
     ),

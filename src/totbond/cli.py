@@ -30,6 +30,7 @@ from .trees import check_tree_order, enumerate_trees
 from .witnesses import (
     RULES,
     apply_rule,
+    check_anchor_count,
     scan_witnesses,
     witness_multipartite,
 )
@@ -161,6 +162,13 @@ def _cmd_bondage(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ints(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise SystemExit(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _cmd_witness(args: argparse.Namespace) -> int:
     def emit(report) -> None:
         anchors = ",".join(str(v) for v in report.anchors) or "-"
@@ -172,28 +180,40 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             + (f" reason={report.reason.replace(' ', '-')}" if report.reason else "")
         )
 
+    # every flag is checked before any input is read or any record printed
+    rules = args.rules.split(",") if args.rules else None
+    for rule in rules or ():
+        if rule not in RULES:
+            raise SystemExit(f"unknown witness rule {rule!r}")
+    anchors = _ints("--anchors", args.anchors) if args.anchors else None
+    parts = _ints("--parts", args.parts) if args.parts else None
     if args.rule == "multipartite":
-        if not args.parts:
+        if not parts:
             raise SystemExit("multipartite rule needs --parts like 3,2,2")
-        sizes = tuple(int(x) for x in args.parts.split(","))
-        _, report = witness_multipartite(sizes)
+        try:
+            _, report = witness_multipartite(parts)
+        except ValueError as exc:
+            raise SystemExit(f"--parts {args.parts!r}: {exc}") from None
         emit(report)
         return 0
+    if not args.scan and args.rule and anchors:
+        try:
+            check_anchor_count(args.rule, anchors)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     graphs = _load_inputs(args.input) if args.input else []
     if not graphs:
         raise SystemExit("witness needs an input file (or --rule multipartite --parts ...)")
+    if not args.scan and not (args.rule and anchors):
+        raise SystemExit("pass --scan, or --rule with --anchors")
     for g in graphs:
         if args.scan:
-            rules = args.rules.split(",") if args.rules else None
             for report in scan_witnesses(g, rules):
                 emit(report)
         else:
-            if not args.rule or not args.anchors:
-                raise SystemExit("pass --scan, or --rule with --anchors")
-            anchors = tuple(int(x) for x in args.anchors.split(","))
             try:
                 emit(apply_rule(g, args.rule, anchors))
-            except ValueError as exc:
+            except ValueError as exc:  # an anchor out of range, or repeated
                 raise SystemExit(str(exc)) from None
     return 0
 

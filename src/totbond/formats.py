@@ -112,6 +112,9 @@ def parse_graph6(record: bytes | str) -> Graph:
         )
     if len(body) > nbytes:
         raise FormatError("trailing bytes after graph6 record", body_off + nbytes)
+    pad = -nbits % 6  # the specification fills the last 6-bit group with zeros
+    if pad and (body[-1] - 63) & ((1 << pad) - 1):
+        raise FormatError("nonzero padding bits in graph6 record", body_off + nbytes - 1)
     # "A" is base64 for six zero bits: pad to whole 4-character groups
     packed = base64.b64decode(body.translate(_TO_B64) + b"A" * (-nbytes % 4))
     bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
@@ -280,14 +283,6 @@ def parse_graphs(data: bytes, fmt: str | None = None, path: str | None = None) -
     if fmt == "planar_code":
         return [emb.graph for emb in iter_planar_code(io.BytesIO(data))]
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def read_graph(path: str, fmt: str | None = None) -> Graph:
-    """Read the first graph in a file."""
-    graphs = read_graphs(path, fmt)
-    if not graphs:
-        raise FormatError("no graphs in file", 0)
-    return graphs[0]
 
 
 def read_embeddings(path: str) -> list[Embedding]:

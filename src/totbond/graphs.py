@@ -209,13 +209,6 @@ class Graph:
                 leaf_mask |= 1 << v
         return tuple(v for v in range(self.n) if self.adj[v] & leaf_mask)
 
-    def classify_edge(self, u: int, v: int) -> tuple[int, int]:
-        """Degree pair of an existing edge, sorted ascending."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) not present")
-        du, dv = self.degree(u), self.degree(v)
-        return (du, dv) if du <= dv else (dv, du)
-
     # -- induced cycle search -------------------------------------------------
 
     def induced_cycles(self, k: int):

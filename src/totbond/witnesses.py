@@ -1,32 +1,34 @@
 """Constructive bondage edge-set builders with replayable verdicts.
 
-Each builder assembles a concrete edge set B from local structure (an
+Each rule assembles a concrete edge set B from local structure (an
 induced triangle, a short induced cycle, a pair of low-degree vertices,
 a multipartite labeling), then replays it against the exact solver:
 delete B, check for isolates, recompute the total domination number.
 The verdict records what actually happened; no bound is ever assumed.
-Every choice inside a builder breaks ties by smallest vertex id, so a
-report is reproducible from the graph and the anchors alone.
+
+The rules anchored at graph vertices live in one table, `_ANCHORED`:
+per rule, how many anchor vertices it takes, the minimum degree it
+needs, the finder that lists its anchor tuples in a graph, and the
+builder that turns one tuple into an edge set and its claimed size, or
+into the reason the rule does not apply.  `apply_rule` runs one rule at
+given anchors, and `scan_witnesses` runs every rule at every tuple its
+finder lists; both check the anchors, connectivity and the degree floor
+in one place before a builder sees the graph.  The multipartite rule
+takes part sizes instead of a graph: `witness_multipartite`.  Every
+choice inside a builder breaks ties by smallest vertex id, so a report
+is reproducible from the graph and the anchors alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Iterator, NamedTuple
 
 from .domination import gamma_t
 from .families import complete_multipartite
 from .formats import graph6_bytes
 from .graphs import Edge, Graph, edge_key
-
-RULES = (
-    "triangle",
-    "cycle4",
-    "cycle5",
-    "deg3-dist2",
-    "deg2-dist3",
-    "multipartite",
-)
 
 VALID = "valid-bondage-set"
 ISOLATES = "violates-isolate-condition"
@@ -67,14 +69,6 @@ class _Shared:
         return gamma_t(self.g).value
 
 
-def _check_anchors(g: Graph, anchors: tuple[int, ...]) -> None:
-    for v in anchors:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    if len(set(anchors)) != len(anchors):
-        raise ValueError("anchor vertices must be distinct")
-
-
 def _unmet(rule: str, s: _Shared, anchors: tuple[int, ...], reason: str) -> WitnessReport:
     return WitnessReport(
         rule=rule,
@@ -103,22 +97,11 @@ def _replay(rule: str, s: _Shared, anchors: tuple[int, ...], b: set[Edge], claim
     edges = frozenset(edge_key(u, v) for u, v in b)
     before = s.gamma
     h = s.g.delete_edges(edges)
-    if h.has_isolated_vertex():
-        return WitnessReport(
-            rule=rule,
-            graph6=s.graph6,
-            anchors=anchors,
-            edges=edges,
-            claimed_bound=claimed,
-            observed_size=len(edges),
-            isolate_free=False,
-            gamma_before=before,
-            gamma_after=None,
-            verdict=ISOLATES,
-            reason="deletion isolates a vertex",
-        )
-    after = gamma_t(h).value
-    if after > before:
+    isolate_free = not h.has_isolated_vertex()
+    after = gamma_t(h).value if isolate_free else None
+    if not isolate_free:
+        verdict, reason = ISOLATES, "deletion isolates a vertex"
+    elif after > before:
         verdict, reason = VALID, None
     else:
         verdict, reason = NO_RISE, "total domination number did not increase"
@@ -129,7 +112,7 @@ def _replay(rule: str, s: _Shared, anchors: tuple[int, ...], b: set[Edge], claim
         edges=edges,
         claimed_bound=claimed,
         observed_size=len(edges),
-        isolate_free=True,
+        isolate_free=isolate_free,
         gamma_before=before,
         gamma_after=after,
         verdict=verdict,
@@ -137,43 +120,38 @@ def _replay(rule: str, s: _Shared, anchors: tuple[int, ...], b: set[Edge], claim
     )
 
 
-def witness_triangle(g: Graph, x1: int, x2: int, x3: int) -> WitnessReport:
+# What a builder returns: the edge set and its claimed size, or the
+# reason the rule does not apply at the anchors.
+_Built = tuple[set[Edge], int] | str
+
+
+def _triangle(g: Graph, anchors: tuple[int, ...]) -> _Built:
     """Edge set from an induced triangle none of whose vertices supports a leaf.
 
     Keeps one outside edge at the highest-priority degree->=3 corner and
     the triangle edge opposite it; deletes every other edge touching the
     triangle.  Size: d(x1)+d(x2)+d(x3) - 5.
     """
-    return _triangle(_Shared(g), (x1, x2, x3))
-
-
-def _triangle(s: _Shared, anchors: tuple[int, ...]) -> WitnessReport:
-    g = s.g
     x1, x2, x3 = anchors
-    _check_anchors(g, anchors)
-    if not g.is_connected():
-        return _unmet("triangle", s, anchors, "graph is not connected")
     if not (g.has_edge(x1, x2) and g.has_edge(x1, x3) and g.has_edge(x2, x3)):
-        return _unmet("triangle", s, anchors, "anchors do not form a triangle")
+        return "anchors do not form a triangle"
     if g.n == 3:
-        return _unmet("triangle", s, anchors, "graph is the 3-cycle itself")
+        return "graph is the 3-cycle itself"
     supports = g.support_vertices()
     if any(v in supports for v in anchors):
-        return _unmet("triangle", s, anchors, "a triangle vertex is a support vertex")
-    heavy = sorted(v for v in anchors if g.degree(v) >= 3)
-    if not heavy:
-        return _unmet("triangle", s, anchors, "no triangle vertex has degree >= 3")
-    a1 = heavy[0]
+        return "a triangle vertex is a support vertex"
+    # the graph is connected and larger than the triangle, so some corner
+    # has an outside neighbour
+    a1 = min(v for v in anchors if g.degree(v) >= 3)
     rest = sorted(v for v in anchors if v != a1)
     w = min(u for u in g.neighbors(a1) if u not in anchors)
     b = _incident(g, anchors)
     b.discard(edge_key(a1, w))
     b.discard(edge_key(rest[0], rest[1]))
-    claimed = sum(g.degree(v) for v in anchors) - 5
-    return _replay("triangle", s, anchors, b, claimed)
+    return b, sum(g.degree(v) for v in anchors) - 5
 
 
-def _check_induced_cycle(g: Graph, cyc: tuple[int, ...]) -> str | None:
+def _cycle_flaw(g: Graph, cyc: tuple[int, ...]) -> str | None:
     k = len(cyc)
     for i in range(k):
         if not g.has_edge(cyc[i], cyc[(i + 1) % k]):
@@ -187,148 +165,118 @@ def _check_induced_cycle(g: Graph, cyc: tuple[int, ...]) -> str | None:
     return None
 
 
-def witness_cycle4(g: Graph, x1: int, x2: int, x3: int, x4: int) -> WitnessReport:
+def _cycle4(g: Graph, anchors: tuple[int, ...]) -> _Built:
     """Edge set from an induced 4-cycle in a graph with minimum degree >= 2.
 
     Deletes all edges at the cycle except two opposite cycle edges.
     Size: sum of the four degrees - 6.
     """
-    return _cycle4(_Shared(g), (x1, x2, x3, x4))
-
-
-def _cycle4(s: _Shared, anchors: tuple[int, ...]) -> WitnessReport:
-    g = s.g
-    x1, x2, x3, x4 = anchors
-    _check_anchors(g, anchors)
-    if not g.is_connected():
-        return _unmet("cycle4", s, anchors, "graph is not connected")
-    if g.min_degree() < 2:
-        return _unmet("cycle4", s, anchors, "minimum degree below 2")
-    flaw = _check_induced_cycle(g, anchors)
+    flaw = _cycle_flaw(g, anchors)
     if flaw:
-        return _unmet("cycle4", s, anchors, flaw)
+        return flaw
+    x1, x2, x3, x4 = anchors
     b = _incident(g, anchors)
     b.discard(edge_key(x1, x2))
     b.discard(edge_key(x3, x4))
-    claimed = sum(g.degree(v) for v in anchors) - 6
-    return _replay("cycle4", s, anchors, b, claimed)
+    return b, sum(g.degree(v) for v in anchors) - 6
 
 
-def witness_cycle5(g: Graph, x1: int, x2: int, x3: int, x4: int, x5: int) -> WitnessReport:
+def _cycle5(g: Graph, anchors: tuple[int, ...]) -> _Built:
     """Edge set from an induced 5-cycle in a graph with minimum degree >= 2.
 
     Deletes the edges at the first four cycle vertices except x1x2 and
     x3x4; when the fifth vertex has degree 2 the edge x4x5 is kept too.
     Claimed size: d(x1)+d(x2)+d(x3)+d(x4) - 5.
     """
-    return _cycle5(_Shared(g), (x1, x2, x3, x4, x5))
-
-
-def _cycle5(s: _Shared, anchors: tuple[int, ...]) -> WitnessReport:
-    g = s.g
-    x1, x2, x3, x4, x5 = anchors
-    _check_anchors(g, anchors)
-    if not g.is_connected():
-        return _unmet("cycle5", s, anchors, "graph is not connected")
-    if g.min_degree() < 2:
-        return _unmet("cycle5", s, anchors, "minimum degree below 2")
-    flaw = _check_induced_cycle(g, anchors)
+    flaw = _cycle_flaw(g, anchors)
     if flaw:
-        return _unmet("cycle5", s, anchors, flaw)
+        return flaw
+    x1, x2, x3, x4, x5 = anchors
     b = _incident(g, (x1, x2, x3, x4))
     b.discard(edge_key(x1, x2))
     b.discard(edge_key(x3, x4))
     if g.degree(x5) == 2:
         b.discard(edge_key(x4, x5))
-    claimed = g.degree(x1) + g.degree(x2) + g.degree(x3) + g.degree(x4) - 5
-    return _replay("cycle5", s, anchors, b, claimed)
+    return b, g.degree(x1) + g.degree(x2) + g.degree(x3) + g.degree(x4) - 5
 
 
-def witness_deg3_dist2(g: Graph, u1: int, u2: int) -> WitnessReport:
+def _deg3_dist2(g: Graph, anchors: tuple[int, ...]) -> _Built:
     """Edge set from two degree-3 vertices at distance 2, minimum degree >= 3.
 
     Via a smallest common neighbor v: keep u1v and one other edge u2u2'
     at u2, delete the rest touching u1, u2 and u2'.  Claimed size:
     max degree + 3.
     """
-    return _deg3_dist2(_Shared(g), (u1, u2))
-
-
-def _deg3_dist2(s: _Shared, anchors: tuple[int, ...]) -> WitnessReport:
-    g = s.g
     u1, u2 = anchors
-    _check_anchors(g, anchors)
-    if not g.is_connected():
-        return _unmet("deg3-dist2", s, anchors, "graph is not connected")
-    if g.min_degree() < 3:
-        return _unmet("deg3-dist2", s, anchors, "minimum degree below 3")
     if g.degree(u1) != 3 or g.degree(u2) != 3:
-        return _unmet("deg3-dist2", s, anchors, "anchors are not both degree 3")
+        return "anchors are not both degree 3"
     if g.distance(u1, u2) != 2:
-        return _unmet("deg3-dist2", s, anchors, "anchors are not at distance 2")
+        return "anchors are not at distance 2"
     common = g.adj[u1] & g.adj[u2]
     v = (common & -common).bit_length() - 1
     u2p = min(x for x in g.neighbors(u2) if x != v)
     b = _incident(g, (u1, u2, u2p))
     b.discard(edge_key(u1, v))
     b.discard(edge_key(u2, u2p))
-    claimed = g.max_degree() + 3
-    return _replay("deg3-dist2", s, anchors, b, claimed)
+    return b, g.max_degree() + 3
 
 
-def witness_deg2_dist3(g: Graph, u1: int, u2: int) -> WitnessReport:
+def _deg2_dist3(g: Graph, anchors: tuple[int, ...]) -> _Built:
     """Edge set from two degree-2 vertices within distance 3, minimum degree >= 2.
 
     The deleted set keeps one edge at u1's end and one at u2's end of a
     shortest connection, cases split on the distance.  Claimed size:
     max degree + 1.
     """
-    return _deg2_dist3(_Shared(g), (u1, u2))
-
-
-def _deg2_dist3(s: _Shared, anchors: tuple[int, ...]) -> WitnessReport:
-    g = s.g
     u1, u2 = anchors
-    _check_anchors(g, anchors)
-    if not g.is_connected():
-        return _unmet("deg2-dist3", s, anchors, "graph is not connected")
-    if g.min_degree() < 2:
-        return _unmet("deg2-dist3", s, anchors, "minimum degree below 2")
     if g.degree(u1) != 2 or g.degree(u2) != 2:
-        return _unmet("deg2-dist3", s, anchors, "anchors are not both degree 2")
+        return "anchors are not both degree 2"
     dist = g.distance(u1, u2)
     if not 1 <= dist <= 3:
-        return _unmet("deg2-dist3", s, anchors, "anchors are not within distance 3")
-    claimed = g.max_degree() + 1
+        return "anchors are not within distance 3"
     if dist == 3:
-        pair = None
-        for v in g.neighbors(u1):
-            for w in g.neighbors(v):
-                if g.has_edge(w, u2):
-                    pair = (v, w)
-                    break
-            if pair:
-                break
-        v, w = pair
-        b = _incident(g, (u1, v, u2))
-        b.discard(edge_key(u1, v))
-        b.discard(edge_key(w, u2))
-        return _replay("deg2-dist3", s, anchors, b, claimed)
-    if dist == 2:
+        v, w = next((v, w) for v in g.neighbors(u1) for w in g.neighbors(v) if g.has_edge(w, u2))
+        hub, kept = (u1, v, u2), ((u1, v), (w, u2))
+    elif dist == 2:
         common = g.adj[u1] & g.adj[u2]
         w = (common & -common).bit_length() - 1
         v = next(x for x in g.neighbors(u1) if x != w)
-        b = _incident(g, (v, u1, u2))
-        b.discard(edge_key(v, u1))
-        b.discard(edge_key(w, u2))
-        return _replay("deg2-dist3", s, anchors, b, claimed)
-    # dist == 1: walk one step away from u1 on its other side
-    v = next(x for x in g.neighbors(u1) if x != u2)
-    vp = min(x for x in g.neighbors(v) if x != u1)
-    b = _incident(g, (vp, u1, u2))
-    b.discard(edge_key(u1, u2))
-    b.discard(edge_key(v, vp))
-    return _replay("deg2-dist3", s, anchors, b, claimed)
+        hub, kept = (v, u1, u2), ((v, u1), (w, u2))
+    else:  # adjacent: walk one step away from u1 on its other side
+        v = next(x for x in g.neighbors(u1) if x != u2)
+        vp = min(x for x in g.neighbors(v) if x != u1)
+        hub, kept = (vp, u1, u2), ((u1, u2), (v, vp))
+    b = _incident(g, hub)
+    for u, x in kept:
+        b.discard(edge_key(u, x))
+    return b, g.max_degree() + 1
+
+
+def _degree_pairs(g: Graph, degree: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """Pairs of vertices of the given degree at distance lo..hi, in canonical order."""
+    vs = [v for v in range(g.n) if g.degree(v) == degree]
+    for i, a in enumerate(vs):
+        for b in vs[i + 1 :]:
+            if lo <= g.distance(a, b) <= hi:
+                yield a, b
+
+
+class _Rule(NamedTuple):
+    arity: int  # anchor vertices
+    floor: int  # minimum degree of the whole graph
+    find: Callable[[Graph], Iterator[tuple[int, ...]]]  # anchor tuples, in canonical order
+    build: Callable[[Graph, tuple[int, ...]], _Built]
+
+
+# anchored rule -> its table entry, in RULES order
+_ANCHORED: dict[str, _Rule] = {
+    "triangle": _Rule(3, 1, lambda g: g.induced_cycles(3), _triangle),
+    "cycle4": _Rule(4, 2, lambda g: g.induced_cycles(4), _cycle4),
+    "cycle5": _Rule(5, 2, lambda g: g.induced_cycles(5), _cycle5),
+    "deg3-dist2": _Rule(2, 3, lambda g: _degree_pairs(g, 3, 2, 2), _deg3_dist2),
+    "deg2-dist3": _Rule(2, 2, lambda g: _degree_pairs(g, 2, 1, 3), _deg2_dist3),
+}
+RULES = (*_ANCHORED, "multipartite")
 
 
 def witness_multipartite(sizes) -> tuple[Graph, WitnessReport]:
@@ -346,72 +294,69 @@ def witness_multipartite(sizes) -> tuple[Graph, WitnessReport]:
     s = _Shared(g)
     n = g.n
     n1 = parts[0]
-    first = tuple(range(n1))
-    last = tuple(range(n - parts[-1], n))
-    anchors = (first[0], first[1], last[0], last[1]) if n1 >= 2 and parts[-1] >= 2 else ()
     if n1 < 2:
         return g, _unmet("multipartite", s, (), "largest part has fewer than two vertices")
     if parts[-1] < 2:
         return g, _unmet("multipartite", s, (), "smallest part has fewer than two vertices")
-    u11, u12 = first[0], first[1]
-    uk1, uk2 = last[0], last[1]
+    u11, u12 = 0, 1
+    uk1, uk2 = n - parts[-1], n - parts[-1] + 1
     b = _incident(g, (u11, u12))
     b.discard(edge_key(u11, uk1))
     b.discard(edge_key(u12, uk2))
     claimed = 4 * n - 2 * n1 - 2
-    return g, _replay("multipartite", s, anchors, b, claimed)
+    return g, _replay("multipartite", s, (u11, u12, uk1, uk2), b, claimed)
+
+
+def iter_anchors(g: Graph, rule: str) -> Iterator[tuple[int, ...]]:
+    """The anchor tuples of `find_anchors`, one at a time, so a caller can stop early."""
+    if rule in _ANCHORED:
+        return _ANCHORED[rule].find(g)
+    if rule == "multipartite":
+        return iter(())  # built from part sizes, not from anchors
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 def find_anchors(g: Graph, rule: str) -> list[tuple[int, ...]]:
     """All anchor tuples a rule could be applied to, in canonical order."""
-    if rule == "triangle":
-        return [tuple(c) for c in g.induced_cycles(3)]
-    if rule == "cycle4":
-        return [tuple(c) for c in g.induced_cycles(4)]
-    if rule == "cycle5":
-        return [tuple(c) for c in g.induced_cycles(5)]
-    if rule == "deg3-dist2":
-        vs = [v for v in range(g.n) if g.degree(v) == 3]
-        return [
-            (a, b)
-            for i, a in enumerate(vs)
-            for b in vs[i + 1 :]
-            if g.distance(a, b) == 2
-        ]
-    if rule == "deg2-dist3":
-        vs = [v for v in range(g.n) if g.degree(v) == 2]
-        return [
-            (a, b)
-            for i, a in enumerate(vs)
-            for b in vs[i + 1 :]
-            if 1 <= g.distance(a, b) <= 3
-        ]
-    if rule == "multipartite":
-        return []  # built from part sizes, not from anchors
-    raise ValueError(f"unknown rule {rule!r}")
+    return list(iter_anchors(g, rule))
 
 
-# anchored rule -> (anchor count, builder)
-_ANCHORED = {
-    "triangle": (3, _triangle),
-    "cycle4": (4, _cycle4),
-    "cycle5": (5, _cycle5),
-    "deg3-dist2": (2, _deg3_dist2),
-    "deg2-dist3": (2, _deg2_dist3),
-}
-
-
-def _apply(s: _Shared, rule: str, anchors: tuple[int, ...]) -> WitnessReport:
+def check_anchor_count(rule: str, anchors: tuple[int, ...]) -> None:
+    """Raise ValueError unless `rule` is anchored and takes this many anchors."""
     entry = _ANCHORED.get(rule)
     if entry is None:
         raise ValueError(f"rule {rule!r} does not take graph anchors")
-    want, build = entry
-    if len(anchors) != want:
-        raise ValueError(f"rule {rule!r} takes {want} anchors, got {len(anchors)}")
-    return build(s, anchors)
+    if len(anchors) != entry.arity:
+        raise ValueError(f"rule {rule!r} takes {entry.arity} anchors, got {len(anchors)}")
+
+
+def _apply(s: _Shared, rule: str, anchors: tuple[int, ...]) -> WitnessReport:
+    check_anchor_count(rule, anchors)
+    g = s.g
+    for v in anchors:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    if len(set(anchors)) != len(anchors):
+        raise ValueError("anchor vertices must be distinct")
+    _, floor, _, build = _ANCHORED[rule]
+    if not g.is_connected():
+        built = "graph is not connected"
+    elif g.min_degree() < floor:
+        built = f"minimum degree below {floor}"
+    else:
+        built = build(g, anchors)
+    if isinstance(built, str):
+        return _unmet(rule, s, anchors, built)
+    return _replay(rule, s, anchors, *built)
 
 
 def apply_rule(g: Graph, rule: str, anchors: tuple[int, ...]) -> WitnessReport:
+    """Run one anchored rule at the given anchors and replay its edge set.
+
+    Raises ValueError for a rule that takes no anchors, a wrong anchor
+    count, an anchor out of range or a repeated anchor; a graph the rule
+    does not apply to gives a `precondition-unmet` report instead.
+    """
     return _apply(_Shared(g), rule, anchors)
 
 
@@ -421,10 +366,6 @@ def scan_witnesses(g: Graph, rules=None) -> list[WitnessReport]:
     The reports share one graph6 encoding and one gamma_t(g) solve.
     """
     s = _Shared(g)
-    out: list[WitnessReport] = []
-    for rule in rules or RULES:
-        if rule == "multipartite":
-            continue
-        for anchors in find_anchors(g, rule):
-            out.append(_apply(s, rule, anchors))
-    return out
+    return [
+        _apply(s, rule, anchors) for rule in rules or RULES for anchors in iter_anchors(g, rule)
+    ]

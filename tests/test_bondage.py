@@ -28,7 +28,6 @@ from totbond.bondage import (
     BondageStats,
     _Sweep,
     bondage,
-    bondage_finite,
     max_matching_size,
 )
 from totbond.corpus import cube, icosahedron, planar_min3_corpus
@@ -74,18 +73,18 @@ class TestFinitenessCriterion:
     def test_exhaustive_small(self):
         """Criterion == actual existence for every connected graph n<=6."""
         for g in connected_isolate_free(6):
-            assert bondage_finite(g) == brute_has_bondage_set(g)
+            assert (bondage(g, cap=0).status != "infinite") == brute_has_bondage_set(g)
 
     def test_known_infinite(self):
-        assert not bondage_finite(path(2))
-        assert not bondage_finite(path(3))
-        assert not bondage_finite(cycle(3))
-        assert not bondage_finite(star(4))
+        assert bondage(path(2), cap=0).status == "infinite"
+        assert bondage(path(3), cap=0).status == "infinite"
+        assert bondage(cycle(3), cap=0).status == "infinite"
+        assert bondage(star(4), cap=0).status == "infinite"
 
     def test_known_finite(self):
-        assert bondage_finite(path(4))
-        assert bondage_finite(cycle(4))
-        assert bondage_finite(complete_bipartite(2, 2))
+        assert bondage(path(4), cap=0).status != "infinite"
+        assert bondage(cycle(4), cap=0).status != "infinite"
+        assert bondage(complete_bipartite(2, 2), cap=0).status != "infinite"
 
 
 class TestColexSubsets:

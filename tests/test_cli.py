@@ -152,6 +152,22 @@ class TestWitness:
         with pytest.raises(SystemExit, match="takes 4 anchors, got 2"):
             main(["witness", f, "--rule", "cycle4", "--anchors", "0,1"])
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--scan", "--rules", "triangle,bogus"], "unknown witness rule 'bogus'"),
+        (["--rule", "cycle4", "--anchors", "0,x"], "--anchors takes comma-separated integers, got '0,x'"),
+        (["--rule", "cycle4", "--anchors", "0,1"], "rule 'cycle4' takes 4 anchors, got 2"),
+        (["--rule", "multipartite", "--parts", "3,x"], "--parts takes comma-separated integers, got '3,x'"),
+        (["--rule", "multipartite", "--parts", "3,0"], "--parts '3,0': need at least two parts of positive size"),
+    ])
+    def test_bad_flags_rejected_before_any_input(self, capsys, graph_file, flags, message):
+        from totbond.families import complete
+
+        for src in (graph_file(complete(4), cycle(4)), "/tmp/totbond-no-such-file.g6"):
+            with pytest.raises(SystemExit) as exc:
+                main(["witness", src, *flags])
+            assert exc.value.code == message
+            assert capsys.readouterr().out == ""
+
     def test_missing_input_file_is_clean_error(self):
         with pytest.raises(SystemExit, match="no such input file"):
             main(["gamma-t", "/tmp/totbond-no-such-file.g6"])

@@ -89,6 +89,19 @@ class TestGraph6:
         with pytest.raises(FormatError):
             parse_graph6(b"C~~~")
 
+    def test_padding_bits_must_be_zero(self):
+        # n = 3 has 3 matrix bits, so the low 3 bits of the body byte pad
+        assert parse_graph6(b"B?") == Graph(3, (0, 0, 0))
+        assert parse_graph6(b"Bw") == complete(3)
+        with pytest.raises(FormatError, match="nonzero padding bits") as err:
+            parse_graph6(b"BF")
+        assert err.value.offset == 1
+        # 63 vertices: a four-byte size field and 1953 matrix bits, 3 of padding
+        blob = graph6_bytes(path(63))
+        with pytest.raises(FormatError) as err:
+            parse_graph6(GRAPH6_HEADER + blob[:-1] + bytes([blob[-1] + 1]))
+        assert err.value.offset == len(GRAPH6_HEADER) + len(blob) - 1
+
     def test_offsets_match_bitwise_codec(self):
         cases = [
             b"C\x1f~",  # bad byte in a one-byte size field record

@@ -26,6 +26,7 @@ from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_cor
 from totbond.families import complete, complete_multipartite, cycle, path
 from totbond.formats import write_graph6
 from totbond.graphs import Graph
+from totbond.smallgraphs import enumerate_graph_classes
 from totbond.trees import enumerate_trees
 
 GIRTH4_N36 = {
@@ -195,3 +196,44 @@ def test_campaign_records_all_tags(tmp_path, capsys, budget):
 def test_bounds_records(tmp_path, capsys, budget):
     f = _write(tmp_path, "bounds.g6", _bounds_corpus())
     assert _digest(capsys, ["bounds", f, "--work-budget", budget]) == BOUNDS_MIXED[budget]
+
+
+# The witness scan, every anchored rule at fixed anchors and the multipartite
+# rule by part sizes, on a corpus that reaches every rule, every verdict but a
+# triangle that fails to raise gamma_t, and every precondition a rule can fail.
+# A rule run only sees the graphs its anchors fit in.
+WITNESS_MIXED = "24c64369782a5db05fd91e3dcebf087271716a05215858701df1ab35f65a195f"
+WITNESS_ANCHORS = {
+    "triangle": ("0,1,2", "0,2,4"),
+    "cycle4": ("0,1,2,3", "0,2,1,3"),
+    "cycle5": ("0,1,2,3,4", "0,2,4,1,3"),
+    "deg3-dist2": ("0,1", "0,2", "1,4"),
+    "deg2-dist3": ("0,1", "0,3", "0,5"),
+}
+WITNESS_PARTS = ("2,2", "3,1", "1,1", "3,2,2", "2,2,2")
+
+
+def _witness_corpus():
+    return (
+        [g for n in range(1, 7) for g in enumerate_graph_classes(n)]
+        + [g for n in range(2, 10) for g in enumerate_trees(n)]
+        + [cycle(n) for n in range(3, 11)]
+        + planar_min3_corpus()
+        + [g for g in girth4_corpus() if g.n <= 24]
+    )
+
+
+def test_witness_records_mixed(tmp_path, capsys):
+    graphs = _witness_corpus()
+    argvs = [["witness", "--scan", _write(tmp_path, "all.g6", graphs)]]
+    for rule, tuples in WITNESS_ANCHORS.items():
+        for anchors in tuples:
+            top = max(int(v) for v in anchors.split(","))
+            f = _write(tmp_path, f"above-{top}.g6", [g for g in graphs if g.n > top])
+            argvs.append(["witness", f, "--rule", rule, "--anchors", anchors])
+    argvs += [["witness", "--rule", "multipartite", "--parts", p] for p in WITNESS_PARTS]
+    out = []
+    for argv in argvs:
+        assert main(argv) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == WITNESS_MIXED

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totbond.families import complete, complete_bipartite, cycle, path, star
+from totbond.families import complete, complete_bipartite, cycle, path
 from totbond.graphs import Graph, IsolatedVertexError, edge_key
 
 from oracles import brute_girth, tree_bfs_girth
@@ -127,15 +127,6 @@ class TestQueries:
         assert cycle(5).girth() == 5
         assert complete(4).girth() == 3
         assert complete_bipartite(2, 3).girth() == 4
-
-    def test_classify_edge(self):
-        g = star(3)
-        u, v = g.edges()[0]
-        assert g.classify_edge(u, v) == (1, 3)
-
-    def test_classify_edge_requires_edge(self):
-        with pytest.raises(ValueError):
-            path(4).classify_edge(0, 2)
 
     def test_support_vertices(self):
         g = path(4)

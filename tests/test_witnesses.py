@@ -18,14 +18,11 @@ from totbond.witnesses import (
     VALID,
     WitnessReport,
     apply_rule,
+    check_anchor_count,
     find_anchors,
+    iter_anchors,
     scan_witnesses,
-    witness_cycle4,
-    witness_cycle5,
-    witness_deg2_dist3,
-    witness_deg3_dist2,
     witness_multipartite,
-    witness_triangle,
 )
 
 # square 0-1-2-3 with a roof apex 4 over the 2-3 wall
@@ -43,7 +40,7 @@ def replay_with_oracle(g: Graph, report: WitnessReport):
 class TestTriangleRule:
     def test_k4(self):
         g = complete(4)
-        rep = witness_triangle(g, 0, 1, 2)
+        rep = apply_rule(g, "triangle", (0, 1, 2))
         assert rep.verdict == VALID
         assert replay_with_oracle(g, rep) == VALID
         # claimed bound: degree sum of the corners minus 5
@@ -51,30 +48,30 @@ class TestTriangleRule:
         assert rep.observed_size <= rep.claimed_bound
 
     def test_bare_triangle_unmet(self):
-        rep = witness_triangle(cycle(3), 0, 1, 2)
+        rep = apply_rule(cycle(3), "triangle", (0, 1, 2))
         assert rep.verdict == UNMET
         assert rep.reason
 
     def test_support_vertex_unmet(self):
         # pendant hanging off the triangle makes corner 0 a support vertex
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
-        rep = witness_triangle(g, 0, 1, 2)
+        rep = apply_rule(g, "triangle", (0, 1, 2))
         assert rep.verdict == UNMET
 
     def test_non_triangle_anchors_unmet(self):
-        rep = witness_triangle(path(4), 0, 1, 2)
+        rep = apply_rule(path(4), "triangle", (0, 1, 2))
         assert rep.verdict == UNMET
 
     def test_house_roof(self):
         g = HOUSE
-        rep = witness_triangle(g, 2, 3, 4)
+        rep = apply_rule(g, "triangle", (2, 3, 4))
         assert rep.verdict == replay_with_oracle(g, rep)
 
 
 class TestCycle4Rule:
     def test_c4_itself(self):
         g = cycle(4)
-        rep = witness_cycle4(g, 0, 1, 2, 3)
+        rep = apply_rule(g, "cycle4", (0, 1, 2, 3))
         assert rep.verdict == VALID
         assert rep.observed_size == 2
         assert replay_with_oracle(g, rep) == VALID
@@ -82,18 +79,18 @@ class TestCycle4Rule:
     def test_k33(self):
         g = complete_bipartite(3, 3)
         cyc = find_anchors(g, "cycle4")[0]
-        rep = witness_cycle4(g, *cyc)
+        rep = apply_rule(g, "cycle4", cyc)
         assert rep.verdict == replay_with_oracle(g, rep)
         assert rep.claimed_bound == sum(g.degree(v) for v in cyc) - 6
 
     def test_chorded_cycle_unmet(self):
         g = complete(4)
-        rep = witness_cycle4(g, 0, 1, 2, 3)
+        rep = apply_rule(g, "cycle4", (0, 1, 2, 3))
         assert rep.verdict == UNMET
 
     def test_degree_one_corner_unmet(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-        rep = witness_cycle4(g, 0, 1, 2, 3)
+        rep = apply_rule(g, "cycle4", (0, 1, 2, 3))
         # precondition needs min degree 2 overall; vertex 4 has degree 1
         assert rep.verdict == UNMET
 
@@ -102,7 +99,7 @@ class TestCycle5Rule:
     def test_c5_bound_overshoots(self):
         """The stated bound allows 3 edges here but 2 already suffice."""
         g = cycle(5)
-        rep = witness_cycle5(g, 0, 1, 2, 3, 4)
+        rep = apply_rule(g, "cycle5", (0, 1, 2, 3, 4))
         assert rep.claimed_bound == 3
         assert rep.observed_size == 2
         assert rep.verdict == VALID
@@ -114,13 +111,13 @@ class TestCycle5Rule:
             6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 5)]
         )
         assert find_anchors(g, "cycle5") == [(0, 1, 2, 3, 4)]
-        rep = witness_cycle5(g, 0, 1, 2, 3, 4)
+        rep = apply_rule(g, "cycle5", (0, 1, 2, 3, 4))
         assert rep.verdict == ISOLATES
         assert rep.isolate_free is False
         assert replay_with_oracle(g, rep) == ISOLATES
 
     def test_non_cycle_unmet(self):
-        rep = witness_cycle5(path(5), 0, 1, 2, 3, 4)
+        rep = apply_rule(path(5), "cycle5", (0, 1, 2, 3, 4))
         assert rep.verdict == UNMET
 
 
@@ -131,41 +128,41 @@ class TestDegreeRules:
         g = cube()
         pairs = find_anchors(g, "deg3-dist2")
         assert pairs
-        rep = witness_deg3_dist2(g, *pairs[0])
+        rep = apply_rule(g, "deg3-dist2", pairs[0])
         assert rep.claimed_bound == g.max_degree() + 3
         assert rep.verdict == replay_with_oracle(g, rep)
 
     def test_deg3_dist2_requires_min_degree(self):
-        rep = witness_deg3_dist2(path(6), 0, 2)
+        rep = apply_rule(path(6), "deg3-dist2", (0, 2))
         assert rep.verdict == UNMET
 
     def test_deg2_dist3_on_c6(self):
         g = cycle(6)
-        rep = witness_deg2_dist3(g, 0, 3)
+        rep = apply_rule(g, "deg2-dist3", (0, 3))
         assert rep.claimed_bound == 3
         assert rep.verdict == replay_with_oracle(g, rep)
 
     def test_deg2_dist3_adjacent_pair(self):
         g = cycle(4)
-        rep = witness_deg2_dist3(g, 0, 1)
+        rep = apply_rule(g, "deg2-dist3", (0, 1))
         assert rep.verdict in (VALID, ISOLATES, NO_RISE)
         assert rep.verdict == replay_with_oracle(g, rep)
 
     def test_deg2_dist3_triangle_violation(self):
         """C3 meets the hypotheses but has no bondage set at all."""
         g = cycle(3)
-        rep = witness_deg2_dist3(g, 0, 1)
+        rep = apply_rule(g, "deg2-dist3", (0, 1))
         assert rep.verdict in (ISOLATES, NO_RISE)
         assert rep.verdict == replay_with_oracle(g, rep)
 
     def test_wrong_degree_unmet(self):
         g = complete(4)
-        rep = witness_deg2_dist3(g, 0, 1)
+        rep = apply_rule(g, "deg2-dist3", (0, 1))
         assert rep.verdict == UNMET
 
     def test_too_far_apart_unmet(self):
         g = cycle(10)
-        rep = witness_deg2_dist3(g, 0, 5)
+        rep = apply_rule(g, "deg2-dist3", (0, 5))
         assert rep.verdict == UNMET
 
 
@@ -201,10 +198,6 @@ class TestAnchorsAndDispatch:
         assert find_anchors(cycle(5), "triangle") == []
         assert find_anchors(cycle(5), "cycle4") == []
 
-    def test_apply_rule_matches_direct_call(self):
-        g = cycle(4)
-        assert apply_rule(g, "cycle4", (0, 1, 2, 3)) == witness_cycle4(g, 0, 1, 2, 3)
-
     def test_apply_rule_unknown(self):
         with pytest.raises(ValueError):
             apply_rule(cycle(4), "pentagon", (0,))
@@ -216,6 +209,38 @@ class TestAnchorsAndDispatch:
     def test_apply_rule_wrong_anchor_count(self):
         with pytest.raises(ValueError, match="takes 3 anchors, got 2"):
             apply_rule(complete(4), "triangle", (0, 1))
+
+    def test_apply_rule_repeated_anchor(self):
+        with pytest.raises(ValueError, match="distinct"):
+            apply_rule(cycle(4), "deg2-dist3", (1, 1))
+
+    def test_multipartite_takes_no_graph_anchors(self):
+        with pytest.raises(ValueError, match="does not take graph anchors"):
+            check_anchor_count("multipartite", (0, 1, 2, 3))
+        assert find_anchors(complete_multipartite((2, 2)), "multipartite") == []
+
+    def test_find_anchors_unknown_rule(self):
+        with pytest.raises(ValueError, match="unknown rule 'pentagon'"):
+            find_anchors(cycle(4), "pentagon")
+
+    def test_iter_anchors_stops_at_the_first_pair(self, monkeypatch):
+        g = cycle(8)
+        asked, real = [], Graph.distance
+        monkeypatch.setattr(Graph, "distance", lambda h, u, v: asked.append((u, v)) or real(h, u, v))
+        assert next(iter_anchors(g, "deg2-dist3")) == (0, 1)
+        assert asked == [(0, 1)]
+
+    @pytest.mark.parametrize("rule", [r for r in RULES if r != "multipartite"])
+    def test_shared_preconditions(self, rule):
+        """Connectivity, then the rule's degree floor, before its own checks."""
+        arity = {"triangle": 3, "cycle4": 4, "cycle5": 5}.get(rule, 2)
+        anchors = tuple(range(arity))
+        apart = Graph.from_edges(arity + 2, [(v, v + 1) for v in range(arity - 1)])
+        assert apply_rule(apart, rule, anchors).reason == "graph is not connected"
+        floor = {"triangle": 1, "cycle4": 2, "cycle5": 2, "deg3-dist2": 3, "deg2-dist3": 2}[rule]
+        if floor > 1:
+            rep = apply_rule(path(arity + 1), rule, anchors)
+            assert (rep.verdict, rep.reason) == (UNMET, f"minimum degree below {floor}")
 
     def test_scan_covers_multiple_rules(self):
         reports = scan_witnesses(HOUSE)
