@@ -44,7 +44,6 @@ from .planar import (
 from .smallgraphs import (
     count_automorphisms,
     enumerate_graph_classes,
-    enumerate_small_graphs,
     is_isomorphic,
 )
 from .trees import enumerate_trees
@@ -86,7 +85,6 @@ __all__ = [
     "detect_girth4_config",
     "discharge_audit",
     "enumerate_graph_classes",
-    "enumerate_small_graphs",
     "enumerate_trees",
     "exists_total_dominating_set",
     "find_anchors",

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from . import planar
 from .bondage import BondageCertificate, bondage
 from .formats import edges_text, graph6_bytes
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .smallgraphs import is_isomorphic
 from .families import star, subdivided_star
 from .witnesses import iter_anchors
@@ -126,16 +126,7 @@ def _multipartite_parts(g: Graph) -> tuple[int, ...] | None:
         if seen >> v & 1:
             continue
         cluster = comp.adj[v] | (1 << v)
-        ok = True
-        mm = cluster
-        while mm:
-            low = mm & -mm
-            u = low.bit_length() - 1
-            mm ^= low
-            if comp.adj[u] | (1 << u) != cluster:
-                ok = False
-                break
-        if not ok:
+        if any(comp.adj[u] | (1 << u) != cluster for u in _bits(cluster)):
             return None
         seen |= cluster
         parts.append(cluster.bit_count())

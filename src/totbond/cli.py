@@ -24,7 +24,7 @@ from .campaigns import (
 from .corpus import girth4_corpus, planar_min3_corpus
 from .domination import gamma_t
 from .families import FamilySpec
-from .formats import edges_text, graph6_bytes, parse_graphs, read_embeddings, read_graphs
+from .formats import FormatError, edges_text, graph6_bytes, parse_graphs, read_embeddings, read_graphs
 from .graphs import Graph, IsolatedVertexError
 from .trees import check_tree_order, enumerate_trees
 from .witnesses import (
@@ -50,6 +50,12 @@ def _g6(g: Graph) -> str:
 
 def _slug(exc: BaseException) -> str:
     return str(exc).replace(" ", "-")
+
+
+def _malformed(path: str, exc: FormatError) -> SystemExit:
+    """A one-line exit naming the file, and the line of a bad graph6 record."""
+    line = f", line {exc.line}" if exc.line is not None else ""
+    return SystemExit(f"malformed input {path!r}{line}: {exc}")
 
 
 def resolve_corpus(src: str) -> list[Graph]:
@@ -80,16 +86,22 @@ def resolve_corpus(src: str) -> list[Graph]:
             raise SystemExit(f"{exc} in corpus spec {src!r}") from None
         return out
     if os.path.exists(src):
-        return list(read_graphs(src))
+        try:
+            return list(read_graphs(src))
+        except FormatError as exc:
+            raise _malformed(src, exc) from None
     raise SystemExit(f"no such corpus or file: {src!r}")
 
 
 def _load_inputs(path: str) -> list[Graph]:
-    if path == "-":
-        return parse_graphs(sys.stdin.buffer.read())
-    if not os.path.exists(path):
+    if path != "-" and not os.path.exists(path):
         raise SystemExit(f"no such input file: {path!r}")
-    return list(read_graphs(path))
+    try:
+        if path == "-":
+            return parse_graphs(sys.stdin.buffer.read())
+        return list(read_graphs(path))
+    except FormatError as exc:
+        raise _malformed(path, exc) from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -213,8 +225,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         else:
             try:
                 emit(apply_rule(g, args.rule, anchors))
-            except ValueError as exc:  # an anchor out of range, or repeated
-                raise SystemExit(str(exc)) from None
+            except ValueError as exc:  # an anchor out of range for this graph
+                print(f"WITNESS rule={args.rule} graph={_g6(g)} n={g.n} m={g.m} error={_slug(exc)}")
     return 0
 
 
@@ -225,7 +237,10 @@ def _load_with_embeddings(path: str):
     if path.endswith((".pc", ".plc")):
         if not os.path.exists(path):
             raise SystemExit(f"no such input file: {path!r}")
-        return [(emb.graph, emb) for emb in read_embeddings(path)]
+        try:
+            return [(emb.graph, emb) for emb in read_embeddings(path)]
+        except FormatError as exc:
+            raise _malformed(path, exc) from None
     return [(g, planar_embedding(g)) for g in _load_inputs(path)]
 
 

@@ -38,8 +38,12 @@ class Embedding:
         rotation = tuple(tuple(r) for r in rotation)
         n = len(rotation)
         masks = [0] * n
+        # back[u] collects every v whose rotation lists u: the lists are
+        # symmetric exactly when the transposed masks equal the masks
+        back = [0] * n
         for v, order in enumerate(rotation):
             seen = 0
+            bit = 1 << v
             for u in order:
                 if not 0 <= u < n:
                     raise EmbeddingError(f"vertex {u} out of range at rotation of {v}")
@@ -48,11 +52,13 @@ class Embedding:
                 if seen >> u & 1:
                     raise EmbeddingError(f"repeated neighbor {u} in rotation of {v}")
                 seen |= 1 << u
+                back[u] |= bit
             masks[v] = seen
-        for v in range(n):
-            for u in rotation[v]:
-                if not masks[u] >> v & 1:
-                    raise EmbeddingError(f"rotation not symmetric on edge ({v}, {u})")
+        if masks != back:  # name the first dart whose reverse is missing
+            for v in range(n):
+                for u in rotation[v]:
+                    if not masks[u] >> v & 1:
+                        raise EmbeddingError(f"rotation not symmetric on edge ({v}, {u})")
         graph = Graph(n, tuple(masks))
         faces = _trace_faces(rotation)
         return Embedding(graph, rotation, faces)

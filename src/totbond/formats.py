@@ -33,13 +33,18 @@ _TO_B64 = bytes.maketrans(G6_RANGE, _B64_ALPHABET)
 
 
 class FormatError(ValueError):
-    """A malformed graph stream.  ``offset`` is the failing byte position."""
+    """A malformed graph stream.  ``offset`` is the failing byte position.
+
+    A graph6 stream counts offsets from the start of the bad record and
+    sets ``line`` to that record's 1-based line number.
+    """
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+        self.line: int | None = None
 
 
 # -- graph6 -------------------------------------------------------------------
@@ -133,13 +138,18 @@ def parse_graph6(record: bytes | str) -> Graph:
 
 def iter_graph6(stream) -> "iter[Graph]":
     """Yield graphs from a graph6 stream, one record per line."""
-    for raw in stream:
+    for lineno, raw in enumerate(stream, 1):
         if isinstance(raw, str):
             raw = raw.encode("ascii", errors="replace")
         line = raw.strip()
         if not line:
             continue
-        yield parse_graph6(line)
+        try:
+            g = parse_graph6(line)
+        except FormatError as exc:
+            exc.line = lineno
+            raise
+        yield g
 
 
 def write_graph6(graphs, stream) -> int:

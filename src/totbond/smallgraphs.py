@@ -1,124 +1,26 @@
-"""Exhaustive enumeration of small graphs, labeled and up to isomorphism.
+"""Exhaustive enumeration of small graphs up to isomorphism.
 
-Labeled enumeration extends one vertex at a time, choosing the new
-vertex's back-neighborhood as a bitmask; degree, girth and planar
-edge-count constraints prune partial graphs because all of them are
-inherited by prefixes.  Isomorphism-class enumeration uses the same
-augmentation but deduplicates each level against invariant buckets with
-an explicit backtracking isomorphism test.  Both are meant for desk
-scale (n <= 9) only.
+One enumerator, `enumerate_graph_classes`, grows graphs a vertex at a
+time, choosing the new vertex's back-neighborhood as a bitmask; the
+triangle, edge-count and planarity filters prune partial graphs because
+all of them are inherited by induced subgraphs.  Each level is
+deduplicated against invariant buckets with an explicit backtracking
+isomorphism test, which `is_isomorphic` and `count_automorphisms`
+expose.  Meant for desk scale (n <= 9) only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from .graphs import Graph, _bits
 
-MAX_LABELED_ORDER = 9
 MAX_CLASS_ORDER = 9
 
 
-def _planar_edge_cap(k: int, min_girth: int) -> int:
+def _planar_edge_cap(k: int, triangle_free: bool) -> int:
     # Euler bounds: 3k-6 in general, 2k-4 once triangles are excluded.
     if k < 3:
         return k * (k - 1) // 2
-    if min_girth >= 5:
-        # girth-g planar bound: (k-2) * g / (g-2)
-        return ((k - 2) * min_girth) // (min_girth - 2)
-    if min_girth >= 4:
-        return 2 * k - 4
-    return 3 * k - 6
-
-
-def enumerate_small_graphs(
-    n: int,
-    *,
-    min_degree: int = 0,
-    min_girth: int = 3,
-    require_planar: bool = False,
-    require_connected: bool = False,
-) -> Iterator[Graph]:
-    """Yield every labeled graph on vertices 0..n-1 meeting the filters.
-
-    min_girth = 3 imposes nothing; min_girth = 4 forbids triangles, and
-    so on.  Planarity is certified on complete graphs only; partial
-    graphs are pruned by edge-count bounds alone.
-    """
-    if n < 0 or n > MAX_LABELED_ORDER:
-        raise ValueError(f"labeled enumeration capped at n = {MAX_LABELED_ORDER}")
-    if n == 0:
-        return
-    from .planar import is_planar  # deferred: planar imports graphs too
-
-    adj = [0] * n
-    deg = [0] * n
-
-    def short_cycle_through(i: int, mask: int) -> bool:
-        # any new cycle through i consists of two back-edges plus a path
-        # in the prefix, so pairwise prefix distances decide the girth
-        pairs = list(_bits(mask))
-        for a_idx in range(len(pairs)):
-            a = pairs[a_idx]
-            # BFS from a within the prefix 0..i-1
-            dist = {a: 0}
-            frontier = [a]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in _bits(adj[x]):
-                        if y not in dist:
-                            dist[y] = dist[x] + 1
-                            nxt.append(y)
-                frontier = nxt
-            for b in pairs[a_idx + 1 :]:
-                if b in dist and dist[b] + 2 < min_girth:
-                    return True
-        return False
-
-    def extend(i: int) -> Iterator[Graph]:
-        if i == n:
-            g = Graph(n, tuple(adj))
-            if require_connected and not g.is_connected():
-                return
-            if require_planar and not is_planar(g):
-                return
-            yield g
-            return
-        remaining_after = n - 1 - i
-        for mask in range(1 << i):
-            bits = mask.bit_count()
-            # degree feasibility: earlier vertices can only gain from
-            # vertices i..n-1, the new vertex from i+1..n-1
-            if bits + remaining_after < min_degree:
-                continue
-            ok = True
-            if min_degree > 0:
-                for u in range(i):
-                    gain = 1 if (mask >> u) & 1 else 0
-                    if deg[u] + gain + remaining_after < min_degree:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if min_girth > 3 and bits >= 2 and short_cycle_through(i, mask):
-                continue
-            m_new = sum(deg[: i]) // 2 + bits
-            if require_planar and m_new > _planar_edge_cap(i + 1, min_girth):
-                continue
-            for u in _bits(mask):
-                adj[u] |= 1 << i
-                deg[u] += 1
-            adj[i] = mask
-            deg[i] = bits
-            yield from extend(i + 1)
-            adj[i] = 0
-            deg[i] = 0
-            for u in _bits(mask):
-                adj[u] &= ~(1 << i)
-                deg[u] -= 1
-
-    yield from extend(0)
+    return 2 * k - 4 if triangle_free else 3 * k - 6
 
 
 def _refine_invariant(g: Graph) -> tuple:
@@ -138,15 +40,10 @@ def _search_order(g: Graph) -> list[int]:
     order = [start]
     placed = 1 << start
     while len(order) < g.n:
-        best = -1
-        best_key = None
-        for v in range(g.n):
-            if (placed >> v) & 1:
-                continue
-            anchored = (g.adj[v] & placed).bit_count()
-            key = (anchored, degs[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+        best = max(
+            (v for v in range(g.n) if not placed >> v & 1),
+            key=lambda v: ((g.adj[v] & placed).bit_count(), degs[v], -v),
+        )
         order.append(best)
         placed |= 1 << best
     return order
@@ -230,18 +127,13 @@ def enumerate_graph_classes(
         out: list[Graph] = []
         for parent in reps:
             for mask in range(1 << k):
-                if triangle_free:
-                    tri = False
-                    for u in _bits(mask):
-                        if parent.adj[u] & mask:
-                            tri = True
-                            break
-                    if tri:
-                        continue
+                # a triangle through the new vertex is an edge inside its mask
+                if triangle_free and any(parent.adj[u] & mask for u in _bits(mask)):
+                    continue
                 m_new = parent.m + mask.bit_count()
                 if max_edges is not None and m_new > max_edges:
                     continue
-                if require_planar and m_new > _planar_edge_cap(k + 1, 4 if triangle_free else 3):
+                if require_planar and m_new > _planar_edge_cap(k + 1, triangle_free):
                     continue
                 rows = [parent.adj[u] | ((mask >> u & 1) << k) for u in range(k)]
                 rows.append(mask)

@@ -322,12 +322,14 @@ def find_anchors(g: Graph, rule: str) -> list[tuple[int, ...]]:
 
 
 def check_anchor_count(rule: str, anchors: tuple[int, ...]) -> None:
-    """Raise ValueError unless `rule` is anchored and takes this many anchors."""
+    """Raise ValueError unless `rule` is anchored and takes this many distinct anchors."""
     entry = _ANCHORED.get(rule)
     if entry is None:
         raise ValueError(f"rule {rule!r} does not take graph anchors")
     if len(anchors) != entry.arity:
         raise ValueError(f"rule {rule!r} takes {entry.arity} anchors, got {len(anchors)}")
+    if len(set(anchors)) != len(anchors):
+        raise ValueError("anchor vertices must be distinct")
 
 
 def _apply(s: _Shared, rule: str, anchors: tuple[int, ...]) -> WitnessReport:
@@ -336,8 +338,6 @@ def _apply(s: _Shared, rule: str, anchors: tuple[int, ...]) -> WitnessReport:
     for v in anchors:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    if len(set(anchors)) != len(anchors):
-        raise ValueError("anchor vertices must be distinct")
     _, floor, _, build = _ANCHORED[rule]
     if not g.is_connected():
         built = "graph is not connected"
@@ -354,7 +354,7 @@ def apply_rule(g: Graph, rule: str, anchors: tuple[int, ...]) -> WitnessReport:
     """Run one anchored rule at the given anchors and replay its edge set.
 
     Raises ValueError for a rule that takes no anchors, a wrong anchor
-    count, an anchor out of range or a repeated anchor; a graph the rule
+    count, a repeated anchor or an anchor out of range; a graph the rule
     does not apply to gives a `precondition-unmet` report instead.
     """
     return _apply(_Shared(g), rule, anchors)

@@ -464,6 +464,11 @@ def theta_graph(a: int, b: int, c: int) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
+def labelings(g: Graph) -> set[Graph]:
+    """Every labeled graph isomorphic to g: its orbit under vertex permutations."""
+    return {g.relabel(p) for p in itertools.permutations(range(g.n))}
+
+
 def labeled_count_identity(n: int) -> tuple[int, int]:
     """(sum over classes of n!/|Aut|, 2^C(n,2)); equal iff enumeration is complete."""
     fact = math.factorial(n)

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import brute_has_bondage_set
+from oracles import brute_has_bondage_set, labelings
 from totbond.bondage import bondage
 from totbond.campaigns import run_campaign, VIOLATED
 from totbond.corpus import girth4_corpus, planar_min3_corpus
@@ -34,7 +34,7 @@ from totbond.planar import (
     is_planar,
     planar_embedding,
 )
-from totbond.smallgraphs import enumerate_graph_classes, enumerate_small_graphs, is_isomorphic
+from totbond.smallgraphs import enumerate_graph_classes, is_isomorphic
 from totbond.trees import enumerate_trees
 from totbond.witnesses import UNMET, VALID, scan_witnesses
 
@@ -126,11 +126,12 @@ def test_criterion_05_girth4_configurations(tmp_path):
         assert detect_girth4_config(g).at_least_one, g.edges()
     exhaustive = 0
     for n in range(4, 9):
-        for g in enumerate_small_graphs(
-            n, min_degree=3, min_girth=4, require_planar=True, require_connected=True
-        ):
-            assert detect_girth4_config(g).at_least_one
-            exhaustive += 1
+        for rep in enumerate_graph_classes(n, triangle_free=True, require_planar=True):
+            if not rep.is_connected() or rep.min_degree() < 3:
+                continue
+            for g in labelings(rep):
+                assert detect_girth4_config(g).at_least_one
+                exhaustive += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 600
     report(

@@ -158,6 +158,7 @@ class TestWitness:
         (["--rule", "cycle4", "--anchors", "0,1"], "rule 'cycle4' takes 4 anchors, got 2"),
         (["--rule", "multipartite", "--parts", "3,x"], "--parts takes comma-separated integers, got '3,x'"),
         (["--rule", "multipartite", "--parts", "3,0"], "--parts '3,0': need at least two parts of positive size"),
+        (["--rule", "cycle4", "--anchors", "0,1,1,2"], "anchor vertices must be distinct"),
     ])
     def test_bad_flags_rejected_before_any_input(self, capsys, graph_file, flags, message):
         from totbond.families import complete
@@ -168,9 +169,72 @@ class TestWitness:
             assert exc.value.code == message
             assert capsys.readouterr().out == ""
 
+    def test_anchor_out_of_range_gets_error_record(self, capsys, graph_file):
+        f = graph_file(cycle(4), path(3), cycle(4))
+        assert main(["witness", f, "--rule", "cycle4", "--anchors", "0,1,2,3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3
+        assert out[0] == out[2] and "verdict=valid-bondage-set" in out[0]
+        assert out[1] == f"WITNESS rule=cycle4 graph={g6(path(3))} n=3 m=2 error=vertex-3-out-of-range"
+
     def test_missing_input_file_is_clean_error(self):
         with pytest.raises(SystemExit, match="no such input file"):
             main(["gamma-t", "/tmp/totbond-no-such-file.g6"])
+
+
+class TestMalformedInput:
+    """A malformed input file ends any verb with one line naming the file."""
+
+    READERS = [
+        ["gamma-t", "{}"],
+        ["bondage", "{}"],
+        ["bounds", "{}"],
+        ["witness", "{}", "--scan"],
+        ["detect", "{}"],
+        ["detect", "{}", "--rules", "g4"],
+        ["discharge", "{}"],
+        ["campaign", "--theorem", "thm-paths", "--corpus", "{}"],
+        ["search", "--bt", "1", "--corpus", "{}"],
+        ["gen", "--corpus", "{}"],
+    ]
+
+    def run(self, argv, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(path) for a in argv])
+        assert capsys.readouterr().out == ""
+        return exc.value.code
+
+    @pytest.mark.parametrize("argv", READERS)
+    def test_graph6_names_file_and_line(self, tmp_path, capsys, argv):
+        f = tmp_path / "bad.g6"
+        f.write_bytes(b"C~\n\nBF\nC~\n")  # line 3 sets a padding bit
+        assert self.run(argv, f, capsys) == (
+            f"malformed input {str(f)!r}, line 3: "
+            "nonzero padding bits in graph6 record (byte offset 1)"
+        )
+
+    @pytest.mark.parametrize("argv", READERS)
+    def test_planar_code_without_header(self, tmp_path, capsys, argv):
+        f = tmp_path / "bad.pc"
+        f.write_bytes(b"\x02\x02\x00\x01\x00")
+        assert self.run(argv, f, capsys) == (
+            f"malformed input {str(f)!r}: missing >>planar_code<< header (byte offset 0)"
+        )
+
+    def test_edge_list(self, tmp_path, capsys):
+        f = tmp_path / "bad.el"
+        f.write_bytes(b"0 1\n1 x\n")
+        assert self.run(["gamma-t", "{}"], f, capsys) == (
+            f"malformed input {str(f)!r}: non-integer vertex in '1 x' (byte offset 4)"
+        )
+
+    def test_stdin(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"C~\nBF\n")))
+        assert self.run(["gamma-t", "-"], "-", capsys) == (
+            "malformed input '-', line 2: nonzero padding bits in graph6 record (byte offset 1)"
+        )
 
 
 class TestDetect:

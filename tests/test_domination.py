@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_gamma_t, deepening_gamma_t
+from oracles import brute_gamma_t, deepening_gamma_t, labelings
 from totbond.corpus import girth4_corpus, icosahedron_incidence
 from totbond.domination import (
     DominationCertificate,
@@ -20,7 +20,7 @@ from totbond.domination import (
 )
 from totbond.families import complete, complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError
-from totbond.smallgraphs import enumerate_graph_classes, enumerate_small_graphs
+from totbond.smallgraphs import enumerate_graph_classes
 
 
 def isolate_free_graphs(max_n):
@@ -77,8 +77,11 @@ class TestAgainstOracle:
 
     def test_all_labeled_isolate_free_n5(self):
         for n in range(2, 6):
-            for g in enumerate_small_graphs(n, min_degree=1):
-                assert gamma_t(g).value == brute_gamma_t(g)
+            for rep in enumerate_graph_classes(n):
+                if rep.min_degree() < 1:
+                    continue
+                for g in labelings(rep):
+                    assert gamma_t(g).value == brute_gamma_t(g)
 
     @settings(max_examples=200, deadline=None)
     @given(isolate_free_graphs(7))

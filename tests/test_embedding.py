@@ -28,6 +28,17 @@ class TestValidation:
         with pytest.raises(EmbeddingError):
             Embedding.from_rotation([(1,), ()])
 
+    @pytest.mark.parametrize("rotation,message", [
+        ([(1,), (0, 9)], "vertex 9 out of range at rotation of 1"),
+        ([(0,)], "self-entry in rotation of 0"),
+        ([(1, 1), (0,)], "repeated neighbor 1 in rotation of 0"),
+        ([(1, 2), (), (0,)], r"rotation not symmetric on edge \(0, 1\)"),
+        ([(2,), (2,), (0,)], r"rotation not symmetric on edge \(1, 2\)"),
+    ])
+    def test_messages_name_the_first_bad_dart(self, rotation, message):
+        with pytest.raises(EmbeddingError, match=f"^{message}$"):
+            Embedding.from_rotation(rotation)
+
     def test_graph_reconstruction(self):
         emb = Embedding.from_rotation(ring_rotation(5))
         assert emb.graph == cycle(5)

@@ -125,6 +125,16 @@ class TestGraph6:
             parse_graph6(bad)
         assert err.value.offset == 700
 
+    def test_stream_error_names_the_line(self):
+        # offsets count from the start of the bad record, so the stream
+        # names its line; blank lines count
+        with pytest.raises(FormatError, match=r"nonzero padding bits .*\(byte offset 1\)$") as err:
+            parse_graphs(b"C~\n\nBF\nC~\n")
+        assert (err.value.line, err.value.offset) == (3, 1)
+        with pytest.raises(FormatError) as err:
+            parse_graph6(b"BF")
+        assert err.value.line is None
+
     def test_stream_round_trip(self):
         graphs = [path(4), cycle(5), complete(3)]
         buf = io.BytesIO()

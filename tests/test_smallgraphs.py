@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_girth, brute_is_isomorphic, labeled_count_identity
+from oracles import brute_girth, brute_is_isomorphic, labeled_count_identity, labelings
 from totbond.graphs import Graph
 from totbond.smallgraphs import (
     count_automorphisms,
     enumerate_graph_classes,
-    enumerate_small_graphs,
     is_isomorphic,
 )
 
@@ -43,40 +42,44 @@ def random_graph_pair():
     return build()
 
 
+def labeled(classes):
+    """Every labeled graph isomorphic to one of the given classes."""
+    return {h for g in classes for h in labelings(g)}
+
+
 class TestLabeledEnumeration:
+    """Labeled graphs are the orbits of class representatives.
+
+    `labeled` builds a set, so a size of 2^C(n,2) means every labeled
+    graph on n vertices appears.
+    """
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_total_labeled_count(self, n):
-        assert sum(1 for _ in enumerate_small_graphs(n)) == 1 << (n * (n - 1) // 2)
+        assert len(labeled(enumerate_graph_classes(n))) == 1 << (n * (n - 1) // 2)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_filters_match_post_filtering(self, n):
-        """Pruned enumeration = full enumeration filtered afterwards."""
-        everything = list(enumerate_small_graphs(n))
+        """Pruned class enumeration = all labeled graphs filtered afterwards."""
+        everything = labeled(enumerate_graph_classes(n))
 
         def post(pred):
-            return sorted(g.edges() for g in everything if pred(g))
+            return {g for g in everything if pred(g)}
 
-        got = sorted(
-            g.edges() for g in enumerate_small_graphs(n, min_degree=2, require_connected=True)
-        )
-        assert got == post(lambda g: min(g.degrees()) >= 2 and g.is_connected())
-
-        got = sorted(g.edges() for g in enumerate_small_graphs(n, min_girth=4))
+        assert labeled(enumerate_graph_classes(n, max_edges=n)) == post(lambda g: g.m <= n)
+        got = labeled(enumerate_graph_classes(n, triangle_free=True))
         assert got == post(lambda g: (brute_girth(g) or n + 1) >= 4)
 
     def test_planar_filter_small(self):
         # every graph on <= 4 vertices is planar, so the flag drops nothing
-        a = sum(1 for _ in enumerate_small_graphs(4, require_planar=True))
-        b = sum(1 for _ in enumerate_small_graphs(4))
-        assert a == b
+        assert labeled(enumerate_graph_classes(4, require_planar=True)) == labeled(
+            enumerate_graph_classes(4)
+        )
 
     def test_planar_filter_excludes_k5(self):
-        hits = [
-            g
-            for g in enumerate_small_graphs(5, require_planar=True)
-            if len(g.edges()) == 10
-        ]
-        assert hits == []
+        planar = enumerate_graph_classes(5, require_planar=True)
+        assert [g for g in planar if g.m == 10] == []
+        assert len(labeled(planar)) == (1 << 10) - 1
 
 
 class TestClassEnumeration:
