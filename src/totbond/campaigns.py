@@ -198,7 +198,7 @@ def _config_g4(tag: str, g: Graph, work_budget: int | None) -> GraphOutcome:
 
 def _config_borodin(tag: str, g: Graph, work_budget: int | None) -> GraphOutcome:
     # the detector needs the embedding, and computing it doubles as the
-    # planarity guard, so networkx runs once per graph
+    # planarity guard, so the left-right test runs once per graph
     emb = planar.planar_embedding(g)
     if emb is None:
         return _skip(tag, g, _PLANAR.reason)

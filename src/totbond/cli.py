@@ -107,7 +107,10 @@ def _load_inputs(path: str) -> list[Graph]:
 def _cmd_gen(args: argparse.Namespace) -> int:
     graphs: list[Graph] = []
     if args.family:
-        graphs.append(FamilySpec.parse(args.family).build())
+        try:
+            graphs.append(FamilySpec.parse(args.family).build())
+        except ValueError as exc:  # an unknown tag or a bad parameter
+            raise SystemExit(f"--family: {exc}") from None
     if args.trees is not None:
         try:
             graphs.extend(enumerate_trees(args.trees))
@@ -116,14 +119,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.classes is not None:
         from .smallgraphs import enumerate_graph_classes
 
-        graphs.extend(
-            enumerate_graph_classes(
-                args.classes,
-                triangle_free=args.triangle_free,
-                require_planar=args.planar,
-                max_edges=args.max_edges,
+        try:
+            graphs.extend(
+                enumerate_graph_classes(
+                    args.classes,
+                    triangle_free=args.triangle_free,
+                    require_planar=args.planar,
+                    max_edges=args.max_edges,
+                )
             )
-        )
+        except ValueError as exc:  # an order below 1 or above the cap
+            raise SystemExit(f"--classes: {exc}") from None
     if args.corpus:
         graphs.extend(resolve_corpus(args.corpus))
     if not graphs:

@@ -1,9 +1,12 @@
 """Planarity, unavoidable-configuration detectors, and discharging audits.
 
-Planarity testing and the rotation system come from networkx's
-left-right criterion implementation; the rotation is re-validated and
-its faces re-traced by this package's own embedding code, and the test
-suite cross-checks both against a brute-force rotation-system search at
+Planarity testing and the rotation system come from this package's own
+port of Brandes' left-right planarity test (2009), ported from
+networkx 3.x's non-recursive ``LRPlanarity`` step for step, so the
+rotation equals the one networkx's ``check_planarity`` gives (the test
+suite checks that against networkx).  The rotation is re-validated and
+its faces re-traced by this package's embedding code, and the suite
+also cross-checks both against a brute-force rotation-system search at
 small orders.  Detectors and the discharging ledger are hand-rolled:
 they are the substance under audit, not infrastructure.
 """
@@ -12,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import networkx as nx
 
 from .embedding import Embedding
 from .graphs import Graph, edge_key
@@ -25,29 +26,320 @@ BORODIN_TAGS = ("borodin-a", "borodin-b", "borodin-c")
 GIRTH4_TAGS = ("g4-a", "g4-b")
 
 
-def _to_networkx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
+def _lr_planarity(g: Graph, embed: bool):
+    """Brandes' left-right test as networkx 3.x runs it, over flat lists.
+
+    None when g is not planar.  Otherwise True, or with embed the
+    clockwise rotation of every vertex, each starting at the neighbour
+    networkx calls leftmost.
+
+    Edges get ids in the order the DFS orients them; per-edge state
+    lives in lists indexed by id, and the id ``none = m`` stands for
+    networkx's None.  ``ref`` and ``side`` (defaultdicts there) have a
+    slot for it; the plain-dict state has none, so reading it raises, as
+    it does there.  A conflict pair is the list [left.low, left.high,
+    right.low, right.high]; an interval is empty when both ends are
+    none, and pairs are compared by identity.
+    """
+    n = g.n
+    adj = g.adj
+    m = sum(a.bit_count() for a in adj) // 2
+    if n > 2 and m > 3 * n - 6:
+        return None
+    none = m
+    src = [0] * m
+    dst = [0] * m
+    out: list[list[int]] = [[] for _ in range(n)]  # DG[v], in orientation order
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    height = [-1] * n
+    parent_edge = [none] * n
+    roots = []
+
+    # orientation: a DFS over ascending adjacency, as networkx adds
+    # g.edges(); rest[v] holds the neighbours whose edge has no id yet
+    rest = list(adj)
+    resume = [none] * n  # the tree edge v resumes at when revisited
+    k = 0
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            while rest[v]:
+                vw = resume[v]
+                if vw != none:
+                    resume[v] = none
+                else:
+                    todo = rest[v]
+                    w = (todo & -todo).bit_length() - 1
+                    vw = k
+                    k += 1
+                    src[vw] = v
+                    dst[vw] = w
+                    out[v].append(vw)
+                    rest[w] &= ~(1 << v)
+                    lowpt[vw] = lowpt2[vw] = hv
+                    if height[w] < 0:  # tree edge: finish w first
+                        parent_edge[w] = vw
+                        height[w] = hv + 1
+                        resume[v] = vw
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[vw] = height[w]  # back edge
+                low = lowpt[vw]
+                nesting[vw] = 2 * low + (lowpt2[vw] < hv)  # +1 when chordal
+                if e != none:
+                    if low < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                        lowpt[e] = low
+                    elif low > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], low)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                todo = rest[v]
+                rest[v] = todo & (todo - 1)
+
+    # testing: stable sorts over orientation order, as networkx's sorted()
+    ordered = [sorted(row, key=nesting.__getitem__) for row in out]
+    pairs: list[list[int]] = []  # the stack S of conflict pairs
+    stack_bottom: list = [None] * m
+    lowpt_edge = [0] * m
+    ref = [none] * (m + 1)
+    side = [1] * (m + 1)
+
+    def add_constraints(ei: int, e: int) -> bool:
+        pl_lo = pl_hi = pr_lo = pr_hi = none
+        bottom = stack_bottom[ei]
+        # merge return edges of ei into P.right
+        while True:
+            ql_lo, ql_hi, qr_lo, qr_hi = pairs.pop()
+            if ql_lo != none or ql_hi != none:
+                ql_lo, ql_hi, qr_lo, qr_hi = qr_lo, qr_hi, ql_lo, ql_hi
+                if ql_lo != none or ql_hi != none:
+                    return False
+            if lowpt[qr_lo] > lowpt[e]:
+                if pr_lo == none and pr_hi == none:
+                    pr_hi = qr_hi
+                else:
+                    ref[pr_lo] = qr_hi
+                pr_lo = qr_lo
+            else:  # align
+                ref[qr_lo] = lowpt_edge[e]
+            if (pairs[-1] if pairs else None) is bottom:
+                break
+        # merge conflicting return edges of earlier siblings into P.left
+        low = lowpt[ei]
+        while True:
+            ql_lo, ql_hi, qr_lo, qr_hi = pairs[-1]
+            left_hit = (ql_lo != none or ql_hi != none) and lowpt[ql_hi] > low
+            right_hit = (qr_lo != none or qr_hi != none) and lowpt[qr_hi] > low
+            if not (left_hit or right_hit):
+                break
+            pairs.pop()
+            if right_hit:
+                ql_lo, ql_hi, qr_lo, qr_hi = qr_lo, qr_hi, ql_lo, ql_hi
+                if left_hit:
+                    return False
+            ref[pr_lo] = qr_hi
+            if qr_lo != none:
+                pr_lo = qr_lo
+            if pl_lo == none and pl_hi == none:
+                pl_hi = ql_hi
+            else:
+                ref[pl_lo] = ql_hi
+            pl_lo = ql_lo
+        if pl_lo != none or pl_hi != none or pr_lo != none or pr_hi != none:
+            pairs.append([pl_lo, pl_hi, pr_lo, pr_hi])
+        return True
+
+    def remove_back_edges(e: int) -> None:
+        u = src[e]
+        hu = height[u]
+        # drop whole conflict pairs whose lowest return point is u
+        while pairs:
+            l_lo, l_hi, r_lo, r_hi = pairs[-1]
+            if l_lo == none and l_hi == none:
+                lowest = lowpt[r_lo]
+            elif r_lo == none and r_hi == none:
+                lowest = lowpt[l_lo]
+            else:
+                lowest = min(lowpt[l_lo], lowpt[r_lo])
+            if lowest != hu:
+                break
+            pairs.pop()
+            if l_lo != none:
+                side[l_lo] = -1
+        if pairs:  # trim the top pair in place; it keeps its identity
+            p = pairs[-1]
+            hi = p[1]
+            while hi != none and dst[hi] == u:
+                hi = ref[hi]
+            p[1] = hi
+            if hi == none and p[0] != none:  # just emptied
+                ref[p[0]] = p[2]
+                side[p[0]] = -1
+                p[0] = none
+            hi = p[3]
+            while hi != none and dst[hi] == u:
+                hi = ref[hi]
+            p[3] = hi
+            if hi == none and p[2] != none:
+                ref[p[2]] = p[0]
+                side[p[2]] = -1
+                p[2] = none
+        if lowpt[e] < hu:  # side of e is side of a highest return edge
+            hl, hr = pairs[-1][1], pairs[-1][3]
+            ref[e] = hl if hl != none and (hr == none or lowpt[hl] > lowpt[hr]) else hr
+
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            row = ordered[v]
+            d = len(row)
+            i = ind[v]
+            while i < d:
+                ei = resume[v]
+                if ei != none:
+                    resume[v] = none
+                else:
+                    ei = row[i]
+                    stack_bottom[ei] = pairs[-1] if pairs else None
+                    w = dst[ei]
+                    if parent_edge[w] == ei:
+                        resume[v] = ei
+                        ind[v] = i
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei
+                    pairs.append([none, none, ei, ei])
+                if lowpt[ei] < hv:  # integrate new return edges
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                i += 1
+            else:
+                if e != none:
+                    remove_back_edges(e)
+    if not embed:
+        return True
+
+    # sign: resolve relative sides along ref chains (networkx's sign())
+    for e0 in range(m):
+        chain = []
+        e = e0
+        while ref[e] != none:
+            chain.append(e)
+            e = ref[e]
+        s = side[e]
+        for e in reversed(chain):
+            s = side[e] = side[e] * s
+            ref[e] = none
+        nesting[e0] *= side[e0]
+
+    # embedding: each vertex's cw/ccw successor maps and its leftmost
+    # neighbour, which networkx keeps as the last key of _succ[v]
+    cw: list[dict[int, int]] = [{} for _ in range(n)]
+    ccw: list[dict[int, int]] = [{} for _ in range(n)]
+    leftmost = [-1] * n
+    for v, row in enumerate(out):
+        ordered[v] = row = sorted(row, key=nesting.__getitem__)
+        if row:
+            ws = [dst[e] for e in row]
+            d = len(ws)
+            cw[v] = {w: ws[(i + 1) % d] for i, w in enumerate(ws)}
+            ccw[v] = {w: ws[i - 1] for i, w in enumerate(ws)}
+            leftmost[v] = ws[0]
+    left_ref = [0] * n
+    right_ref = [0] * n
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            row = ordered[v]
+            d = len(row)
+            i = ind[v]
+            while i < d:
+                ei = row[i]
+                i += 1
+                w = dst[ei]
+                cw_w, ccw_w = cw[w], ccw[w]
+                if parent_edge[w] == ei:
+                    # tree edge: v becomes leftmost at w, just counterclockwise
+                    # of the old leftmost
+                    first = leftmost[w]
+                    if first < 0:
+                        cw_w[v] = ccw_w[v] = v
+                    else:
+                        before = ccw_w[first]
+                        cw_w[v], ccw_w[v] = first, before
+                        cw_w[before] = ccw_w[first] = v
+                    leftmost[w] = v
+                    left_ref[v] = right_ref[v] = w
+                    ind[v] = i
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[ei] == 1:  # v right after right_ref[w], clockwise
+                    at = right_ref[w]
+                    after = cw_w[at]
+                    cw_w[v], ccw_w[v] = after, at
+                    ccw_w[after] = cw_w[at] = v
+                else:  # v right before left_ref[w]
+                    at = left_ref[w]
+                    before = ccw_w[at]
+                    cw_w[v], ccw_w[v] = at, before
+                    cw_w[before] = ccw_w[at] = v
+                    if at == leftmost[w]:
+                        leftmost[w] = v
+                    left_ref[w] = v
+
+    rotation = []
+    for v in range(n):
+        start = leftmost[v]
+        if start < 0:
+            rotation.append(())
+            continue
+        order = [start]
+        nxt = cw[v]
+        u = nxt[start]
+        while u != start:
+            order.append(u)
+            u = nxt[u]
+        rotation.append(tuple(order))
+    return tuple(rotation)
 
 
 def is_planar(g: Graph) -> bool:
-    return nx.check_planarity(_to_networkx(g), counterexample=False)[0]
+    return _lr_planarity(g, embed=False) is not None
 
 
 def planar_embedding(g: Graph) -> Embedding | None:
     """A combinatorial embedding of g, or None when g is not planar.
 
-    Deterministic for a given graph: node insertion order is 0..n-1.
+    Deterministic for a given graph, and the rotation networkx's
+    check_planarity gives for g with nodes and edges added in order.
     """
-    ok, emb = nx.check_planarity(_to_networkx(g), counterexample=False)
-    if not ok:
+    rotation = _lr_planarity(g, embed=True)
+    if rotation is None:
         return None
-    rotation = tuple(tuple(emb.neighbors_cw_order(v)) for v in range(g.n))
     out = Embedding.from_rotation(rotation)
     if out.graph != g:
-        raise RuntimeError("planarity backend returned an inconsistent rotation")
+        raise RuntimeError("planarity test returned an inconsistent rotation")
     return out
 
 

@@ -464,6 +464,13 @@ def theta_graph(a: int, b: int, c: int) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
+def petersen() -> Graph:
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    return Graph.from_edges(10, edges)
+
+
 def labelings(g: Graph) -> set[Graph]:
     """Every labeled graph isomorphic to g: its orbit under vertex permutations."""
     return {g.relabel(p) for p in itertools.permutations(range(g.n))}
@@ -474,3 +481,22 @@ def labeled_count_identity(n: int) -> tuple[int, int]:
     fact = math.factorial(n)
     total = sum(fact // count_automorphisms(g) for g in enumerate_graph_classes(n))
     return total, 1 << (n * (n - 1) // 2)
+
+
+def networkx_rotation(g: Graph) -> tuple[tuple[int, ...], ...] | None:
+    """networkx's clockwise rotation of g, or None when g is not planar.
+
+    The planarity path totbond used before it had its own left-right
+    test: nodes 0..n-1 and then g.edges() in order go into an nx.Graph,
+    and check_planarity's embedding lists each vertex's neighbours with
+    neighbors_cw_order.
+    """
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    ok, emb = nx.check_planarity(h, counterexample=False)
+    if not ok:
+        return None
+    return tuple(tuple(emb.neighbors_cw_order(v)) for v in range(g.n))

@@ -39,6 +39,23 @@ class TestGen:
         assert str(exc.value).startswith("--trees: tree ")
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--classes", "0"),
+            ("--classes", "10"),
+            ("--family", "path:0"),
+            ("--family", "bogus:3"),
+            ("--family", "path:x"),
+        ],
+    )
+    def test_bad_order_or_family_exits_with_one_line(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", flag, value])
+        assert str(exc.value).startswith(f"{flag}: ")
+        assert "\n" not in str(exc.value)
+        assert capsys.readouterr().out == ""
+
     def test_classes_filtered(self, capsys):
         assert main(["gen", "--classes", "5", "--triangle-free"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 14

@@ -1,0 +1,132 @@
+"""The left-right planarity test gives networkx's rotation, and needs no networkx.
+
+`totbond.planar` ports networkx 3.x's non-recursive LRPlanarity step for
+step, so `planar_embedding(g).rotation` must equal `networkx_rotation(g)`
+(None for a non-planar graph) on every graph here, and `is_planar` must
+agree.  Every CLI record that reads a rotation depends on that.
+"""
+
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+from oracles import networkx_rotation, petersen
+
+from totbond.corpus import girth4_corpus, planar_min3_corpus
+from totbond.families import complete, complete_bipartite
+from totbond.formats import write_graph6
+from totbond.graphs import Graph
+from totbond.planar import is_planar, planar_embedding
+from totbond.smallgraphs import enumerate_graph_classes
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def same_as_networkx(g: Graph) -> bool:
+    """Assert the rotations match; True when g is planar."""
+    emb = planar_embedding(g)
+    want = networkx_rotation(g)
+    assert (None if emb is None else emb.rotation) == want, (g.n, g.edges())
+    assert is_planar(g) == (want is not None), (g.n, g.edges())
+    return want is not None
+
+
+def grid_with_chords(rows: int, cols: int, chords: int, rng: random.Random) -> Graph:
+    edges = set()
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.add((v, v + 1))
+            if i + 1 < rows:
+                edges.add((v, v + cols))
+    n = rows * cols
+    for _ in range(chords):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def test_every_class_up_to_seven():
+    planar = total = 0
+    for n in range(1, 8):
+        for g in enumerate_graph_classes(n):
+            planar += same_as_networkx(g)
+            total += 1
+    assert total == 1252
+    assert planar == 1252 - 237
+
+
+def test_empty_and_named_graphs():
+    assert same_as_networkx(Graph(0, ()))
+    assert planar_embedding(Graph(0, ())).rotation == ()
+    for g in (complete(5), complete_bipartite(3, 3), petersen()):
+        assert not same_as_networkx(g)
+
+
+@pytest.mark.parametrize("corpus", [girth4_corpus, planar_min3_corpus])
+def test_corpora(corpus):
+    assert all(same_as_networkx(g) for g in corpus())
+
+
+def test_seeded_random_sweep():
+    rng = random.Random(20091)
+    disconnected = sparse_nonplanar = 0
+    for i in range(2000):
+        n = rng.randint(1, 14)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if i % 2:  # a uniform density
+            p = rng.random()
+            edges = [e for e in pairs if rng.random() < p]
+        else:  # at most 3n - 6 edges, so only the test itself can refute
+            edges = rng.sample(pairs, rng.randint(0, min(len(pairs), max(0, 3 * n - 6))))
+        g = Graph.from_edges(n, edges)
+        planar = same_as_networkx(g)
+        disconnected += not g.is_connected()
+        sparse_nonplanar += not planar and n > 2 and g.m <= 3 * n - 6
+    assert disconnected > 300
+    assert sparse_nonplanar > 150
+    # networkx's ConflictPair shares its default Interval objects; the port
+    # copies by value, which agrees only while nothing mutated them
+    from networkx.algorithms.planarity import ConflictPair
+
+    assert all(iv.empty() for iv in ConflictPair.__init__.__defaults__)
+
+
+def test_grids_with_chords_no_recursion():
+    rng = random.Random(77)
+    kinds = set()
+    for rows, cols, chords in [(20, 20, 0), (20, 20, 1), (20, 20, 3), (10, 40, 2),
+                               (2, 200, 1), (1, 400, 0), (25, 16, 6), (8, 50, 4)]:
+        g = grid_with_chords(rows, cols, chords, rng)
+        kinds.add(same_as_networkx(g))
+    assert kinds == {True, False}
+
+
+RUNTIME = """
+import sys
+sys.path[:0] = [sys.argv[1]]
+import totbond
+assert "networkx" not in sys.modules, "import totbond loaded networkx"
+from totbond.cli import main
+for verb in ("detect", "discharge"):
+    assert main([verb, sys.argv[2]]) == 0
+    assert "networkx" not in sys.modules, verb + " loaded networkx"
+"""
+
+
+def test_planar_verbs_run_without_networkx(tmp_path):
+    path = tmp_path / "planar-min3.g6"
+    with open(path, "wb") as fh:
+        write_graph6(planar_min3_corpus(), fh)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", RUNTIME, os.path.join(ROOT, "src"), str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("DETECT ") >= 20
+    assert proc.stdout.count("DISCHARGE ") >= 20

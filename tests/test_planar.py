@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from oracles import petersen
 
 from totbond.corpus import (
     cube,
@@ -48,13 +49,6 @@ def rotation_oracle_planar(g: Graph) -> bool:
         if Embedding.from_rotation(rot).euler_characteristic() == 2:
             return True
     return False
-
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
 
 
 class TestPlanarity:
