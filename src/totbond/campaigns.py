@@ -202,8 +202,8 @@ def _config_borodin(tag: str, g: Graph, work_budget: int | None) -> GraphOutcome
     emb = planar.planar_embedding(g)
     if emb is None:
         return _skip(tag, g, _PLANAR.reason)
-    loose = planar.detect_borodin(g, emb, planar.AT_MOST)
-    strict = planar.detect_borodin(g, emb, planar.EXACT)
+    loose = planar.detect_borodin(emb, planar.AT_MOST)
+    strict = planar.detect_borodin(emb, planar.EXACT)
     detail = [
         ("found", ",".join(loose.tags) or "-"),
         ("exact_reading", ",".join(strict.tags) or "-"),

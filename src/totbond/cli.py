@@ -280,7 +280,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     print(f"DETECT rule=borodin graph={g6} error=not-planar")
                     continue
                 try:
-                    report = detect_borodin(g, emb, args.reading)
+                    report = detect_borodin(emb, args.reading)
                 except ValueError as exc:
                     print(f"DETECT rule=borodin graph={g6} error={_slug(exc)}")
                     continue
@@ -302,14 +302,14 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
             print(f"DISCHARGE graph={_g6(g)} error=not-planar")
             continue
         try:
-            ledger = discharge_audit(g, emb)
+            ledger = discharge_audit(emb)
             rule = (
                 f" total_final={ledger.total_final}"
                 f" transfers={len(ledger.transfers)}"
                 f" negative_final={str(ledger.has_negative_final).lower()}"
             )
         except ValueError:  # min degree below 3 or girth below 4
-            ledger = charge_ledger(g, emb)
+            ledger = charge_ledger(emb)
             rule = " rule=not-applicable"
         print(
             f"DISCHARGE graph={_g6(g)} n={g.n} m={g.m} faces={len(emb.faces)} "

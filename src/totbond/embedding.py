@@ -63,15 +63,8 @@ class Embedding:
         faces = _trace_faces(rotation)
         return Embedding(graph, rotation, faces)
 
-    def face_lengths(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.faces)
-
     def euler_characteristic(self) -> int:
         return self.graph.n - self.graph.m + len(self.faces)
-
-    def is_spherical(self) -> bool:
-        """True when this is a genus-0 embedding of a connected graph."""
-        return self.graph.is_connected() and self.euler_characteristic() == 2
 
 
 def _trace_faces(rotation) -> tuple[tuple[int, ...], ...]:

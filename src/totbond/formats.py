@@ -75,11 +75,24 @@ def graph6_bytes(g: Graph) -> bytes:
     return _g6_size_bytes(n) + body.translate(_FROM_B64)
 
 
+def _ascii(record: bytes | str) -> bytes:
+    """A graph6 record as bytes: text must be ASCII, since "?" is a value."""
+    if isinstance(record, bytes):
+        return record
+    try:
+        return record.encode("ascii")
+    except UnicodeEncodeError as exc:
+        # every character before the bad one is ASCII; count the offset
+        # from the stripped record, as for bytes
+        lead = record[: exc.start].encode("ascii").lstrip()
+        raise FormatError(
+            f"character {record[exc.start]!r} outside graph6 range", len(lead)
+        ) from None
+
+
 def parse_graph6(record: bytes | str) -> Graph:
     """Decode one graph6 record (optionally prefixed by the format header)."""
-    if isinstance(record, str):
-        record = record.encode("ascii", errors="replace")
-    data = record.strip()
+    data = _ascii(record).strip()
     base = 0
     if data.startswith(GRAPH6_HEADER):
         base = len(GRAPH6_HEADER)
@@ -139,26 +152,15 @@ def parse_graph6(record: bytes | str) -> Graph:
 def iter_graph6(stream) -> "iter[Graph]":
     """Yield graphs from a graph6 stream, one record per line."""
     for lineno, raw in enumerate(stream, 1):
-        if isinstance(raw, str):
-            raw = raw.encode("ascii", errors="replace")
-        line = raw.strip()
-        if not line:
-            continue
         try:
+            line = _ascii(raw).strip()  # text and bytes strip the same
+            if not line:
+                continue
             g = parse_graph6(line)
         except FormatError as exc:
             exc.line = lineno
             raise
         yield g
-
-
-def write_graph6(graphs, stream) -> int:
-    """Write graphs as graph6 lines.  Returns the number written."""
-    count = 0
-    for g in graphs:
-        stream.write(graph6_bytes(g) + b"\n")
-        count += 1
-    return count
 
 
 # -- edge lists ----------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Planarity testing and the rotation system come from this package's own
 port of Brandes' left-right planarity test (2009), ported from
-networkx 3.x's non-recursive ``LRPlanarity`` step for step, so the
-rotation equals the one networkx's ``check_planarity`` gives (the test
-suite checks that against networkx).  The rotation is re-validated and
+networkx 3.x's non-recursive ``LRPlanarity``: the testing step for step,
+and the embedding written out directly in the order networkx's
+insertions leave it, so the rotation equals the one networkx's
+``check_planarity`` gives (the test suite checks that against networkx).  The rotation is re-validated and
 its faces re-traced by this package's embedding code, and the suite
 also cross-checks both against a brute-force rotation-system search at
 small orders.  Detectors and the discharging ledger are hand-rolled:
@@ -30,8 +31,10 @@ def _lr_planarity(g: Graph, embed: bool):
     """Brandes' left-right test as networkx 3.x runs it, over flat lists.
 
     None when g is not planar.  Otherwise True, or with embed the
-    clockwise rotation of every vertex, each starting at the neighbour
-    networkx calls leftmost.
+    clockwise rotation of every vertex, the one networkx's embedding
+    builds by cw/ccw insertions, here written out directly: a vertex's
+    rotation starts at its DFS parent, a DFS root's at the first
+    neighbour networkx places around its only child.
 
     Edges get ids in the order the DFS orients them; per-edge state
     lives in lists indexed by id, and the id ``none = m`` stands for
@@ -250,21 +253,16 @@ def _lr_planarity(g: Graph, embed: bool):
             ref[e] = none
         nesting[e0] *= side[e0]
 
-    # embedding: each vertex's cw/ccw successor maps and its leftmost
-    # neighbour, which networkx keeps as the last key of _succ[v]
-    cw: list[dict[int, int]] = [{} for _ in range(n)]
-    ccw: list[dict[int, int]] = [{} for _ in range(n)]
-    leftmost = [-1] * n
+    # embedding: the walk networkx's dfs_embedding takes, over out-edges
+    # sorted by signed nesting depth.  A back edge v -> w lands next to the
+    # child c of w whose subtree the walk is in: on the left side each one
+    # counterclockwise of the one before, on the right side each one
+    # clockwise of c, so both lists are read back reversed
     for v, row in enumerate(out):
-        ordered[v] = row = sorted(row, key=nesting.__getitem__)
-        if row:
-            ws = [dst[e] for e in row]
-            d = len(ws)
-            cw[v] = {w: ws[(i + 1) % d] for i, w in enumerate(ws)}
-            ccw[v] = {w: ws[i - 1] for i, w in enumerate(ws)}
-            leftmost[v] = ws[0]
-    left_ref = [0] * n
-    right_ref = [0] * n
+        ordered[v] = sorted(row, key=nesting.__getitem__)
+    child = [0] * n  # child[u]: the child of u whose subtree the walk is in
+    left: list[list[int]] = [[] for _ in range(n)]
+    right: list[list[int]] = [[] for _ in range(n)]
     ind = [0] * n
     for r in roots:
         stack = [r]
@@ -277,49 +275,29 @@ def _lr_planarity(g: Graph, embed: bool):
                 ei = row[i]
                 i += 1
                 w = dst[ei]
-                cw_w, ccw_w = cw[w], ccw[w]
-                if parent_edge[w] == ei:
-                    # tree edge: v becomes leftmost at w, just counterclockwise
-                    # of the old leftmost
-                    first = leftmost[w]
-                    if first < 0:
-                        cw_w[v] = ccw_w[v] = v
-                    else:
-                        before = ccw_w[first]
-                        cw_w[v], ccw_w[v] = first, before
-                        cw_w[before] = ccw_w[first] = v
-                    leftmost[w] = v
-                    left_ref[v] = right_ref[v] = w
+                if parent_edge[w] == ei:  # tree edge
+                    child[v] = w
                     ind[v] = i
                     stack.append(v)
                     stack.append(w)
                     break
-                if side[ei] == 1:  # v right after right_ref[w], clockwise
-                    at = right_ref[w]
-                    after = cw_w[at]
-                    cw_w[v], ccw_w[v] = after, at
-                    ccw_w[after] = cw_w[at] = v
-                else:  # v right before left_ref[w]
-                    at = left_ref[w]
-                    before = ccw_w[at]
-                    cw_w[v], ccw_w[v] = at, before
-                    cw_w[before] = ccw_w[at] = v
-                    if at == leftmost[w]:
-                        leftmost[w] = v
-                    left_ref[w] = v
+                (right if side[ei] == 1 else left)[child[w]].append(v)
 
+    # each rotation starts at the parent, which networkx inserts as the
+    # first neighbour; a root starts at its only child's left back edges,
+    # if it has any
     rotation = []
-    for v in range(n):
-        start = leftmost[v]
-        if start < 0:
-            rotation.append(())
-            continue
-        order = [start]
-        nxt = cw[v]
-        u = nxt[start]
-        while u != start:
-            order.append(u)
-            u = nxt[u]
+    for w, row in enumerate(ordered):
+        e = parent_edge[w]
+        order = [] if e == none else [src[e]]
+        for ei in row:
+            c = dst[ei]
+            if parent_edge[c] == ei:
+                order += left[c][::-1]
+                order.append(c)
+                order += right[c][::-1]
+            else:
+                order.append(c)
         rotation.append(tuple(order))
     return tuple(rotation)
 
@@ -366,7 +344,7 @@ def _match_triangle_edge(p: int, q: int, reading: str) -> bool:
     return (p, q) in ((3, 10), (4, 7), (5, 6))
 
 
-def detect_borodin(g: Graph, emb: Embedding, reading: str = AT_MOST) -> ConfigurationReport:
+def detect_borodin(emb: Embedding, reading: str = AT_MOST) -> ConfigurationReport:
     """Find the unavoidable 3-/4-/5-face configurations of planar min-degree-3 graphs.
 
     reading selects how the (3,10)/(4,7)/(5,6) triangle-edge list is
@@ -375,10 +353,9 @@ def detect_borodin(g: Graph, emb: Embedding, reading: str = AT_MOST) -> Configur
     """
     if reading not in (AT_MOST, EXACT):
         raise ValueError(f"unknown reading {reading!r}")
+    g = emb.graph
     if g.min_degree() < 3:
         raise ValueError("detector requires minimum degree 3")
-    if emb.graph != g:
-        raise ValueError("embedding does not belong to this graph")
     hits: dict = {tag: [] for tag in BORODIN_TAGS}
     skipped = []
     deg = g.degrees()
@@ -470,13 +447,13 @@ class ChargeLedger:
     has_negative_final: bool
 
 
-def _ledger(g: Graph, emb: Embedding, moves: list[tuple[int, int]]) -> ChargeLedger:
+def _ledger(emb: Embedding, moves: list[tuple[int, int]]) -> ChargeLedger:
     """The ledger after each (donor, recipient) move passes 1/3 of a unit.
 
     Charges are summed in integer thirds; each distinct value becomes one
     Fraction at the end.
     """
-    v_init = [3 * (g.degree(v) - 4) for v in range(g.n)]
+    v_init = [3 * (d - 4) for d in emb.graph.degrees()]
     f_init = [3 * (len(face) - 4) for face in emb.faces]
     v_final = list(v_init)
     for donor, recipient in moves:
@@ -498,14 +475,12 @@ def _ledger(g: Graph, emb: Embedding, moves: list[tuple[int, int]]) -> ChargeLed
     )
 
 
-def charge_ledger(g: Graph, emb: Embedding) -> ChargeLedger:
+def charge_ledger(emb: Embedding) -> ChargeLedger:
     """Initial balanced charges only, no rule applied; any embedding."""
-    if emb.graph != g:
-        raise ValueError("embedding does not belong to this graph")
-    return _ledger(g, emb, [])
+    return _ledger(emb, [])
 
 
-def discharge_audit(g: Graph, emb: Embedding) -> ChargeLedger:
+def discharge_audit(emb: Embedding) -> ChargeLedger:
     """Apply the rule 'every 3-vertex takes 1/3 from each neighbor' and audit.
 
     Requires minimum degree 3 and girth at least 4.  Conservation of
@@ -513,11 +488,10 @@ def discharge_audit(g: Graph, emb: Embedding) -> ChargeLedger:
     nonnegative would contradict it, so has_negative_final must say
     True on every graph the rule's hypotheses cover.
     """
-    if emb.graph != g:
-        raise ValueError("embedding does not belong to this graph")
+    g = emb.graph
     if g.min_degree() < 3:
         raise ValueError("discharging rule requires minimum degree 3")
     if g.girth() < 4:
         raise ValueError("discharging rule requires girth at least 4")
     moves = [(u, v) for v in range(g.n) if g.degree(v) == 3 for u in g.neighbors(v)]
-    return _ledger(g, emb, moves)
+    return _ledger(emb, moves)

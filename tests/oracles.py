@@ -12,7 +12,8 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from totbond.formats import GRAPH6_HEADER, PLANAR_CODE_HEADER, FormatError, _g6_size_bytes
+from totbond.embedding import Embedding
+from totbond.formats import GRAPH6_HEADER, PLANAR_CODE_HEADER, FormatError, _g6_size_bytes, graph6_bytes
 from totbond.graphs import Graph, _bits
 from totbond.smallgraphs import count_automorphisms, enumerate_graph_classes
 
@@ -343,10 +344,8 @@ def bitwise_graph6_bytes(g: Graph) -> bytes:
     return bytes(out)
 
 
-def bitwise_parse_graph6(record: bytes | str) -> Graph:
+def bitwise_parse_graph6(record: bytes) -> Graph:
     """Decode one graph6 record (optionally prefixed by the format header)."""
-    if isinstance(record, str):
-        record = record.encode("ascii", errors="replace")
     data = record.strip()
     base = 0
     if data.startswith(GRAPH6_HEADER):
@@ -428,6 +427,24 @@ def tree_bfs_girth(g: Graph):
 
 
 # Writers and builders that only the tests use.
+
+
+def write_graph6(graphs, stream) -> int:
+    """Write graphs as graph6 lines.  Returns the number written."""
+    count = 0
+    for g in graphs:
+        stream.write(graph6_bytes(g) + b"\n")
+        count += 1
+    return count
+
+
+def face_lengths(emb: Embedding) -> tuple[int, ...]:
+    return tuple(len(f) for f in emb.faces)
+
+
+def is_spherical(emb: Embedding) -> bool:
+    """True when emb is a genus-0 embedding of a connected graph."""
+    return emb.graph.is_connected() and emb.euler_characteristic() == 2
 
 
 def edge_list_text(g: Graph) -> str:

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import brute_has_bondage_set, labelings
+from oracles import brute_has_bondage_set, is_spherical, labelings, write_graph6
 from totbond.bondage import bondage
 from totbond.campaigns import run_campaign, VIOLATED
 from totbond.corpus import girth4_corpus, planar_min3_corpus
@@ -25,7 +25,7 @@ from totbond.families import (
     path,
     subdivided_star,
 )
-from totbond.formats import read_graphs, write_graph6
+from totbond.formats import read_graphs
 from totbond.graphs import Graph
 from totbond.planar import (
     charge_ledger,
@@ -149,12 +149,12 @@ def test_criterion_06_discharging_identities():
     summed = 0
     for g in girth4_corpus() + planar_min3_corpus():
         emb = planar_embedding(g)
-        assert emb is not None and emb.is_spherical()
-        base = charge_ledger(g, emb)
+        assert emb is not None and is_spherical(emb)
+        base = charge_ledger(emb)
         assert base.total_initial == Fraction(-8)
         summed += 1
         if g.min_degree() >= 3 and g.girth() >= 4:
-            audit = discharge_audit(g, emb)
+            audit = discharge_audit(emb)
             assert audit.total_initial == Fraction(-8)
             assert audit.total_final == Fraction(-8)
             assert audit.has_negative_final
@@ -279,7 +279,7 @@ def test_criterion_10_planar_bound_campaigns():
         from totbond.planar import detect_borodin
 
         emb = planar_embedding(g)
-        skipped_faces += len(detect_borodin(g, emb).skipped_faces)
+        skipped_faces += len(detect_borodin(emb).skipped_faces)
     elapsed = time.monotonic() - t0
     report(
         10,

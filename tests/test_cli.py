@@ -1,10 +1,11 @@
 """End-to-end command line coverage through main(argv)."""
 
 import pytest
+from oracles import write_graph6
 
 from totbond.cli import main, resolve_corpus
 from totbond.families import cycle, path
-from totbond.formats import graph6_bytes, write_graph6
+from totbond.formats import graph6_bytes
 from totbond.graphs import Graph
 
 

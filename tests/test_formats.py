@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bitwise_graph6_bytes, bitwise_parse_graph6, edge_list_text, planar_code_bytes
+from oracles import (
+    bitwise_graph6_bytes,
+    bitwise_parse_graph6,
+    edge_list_text,
+    face_lengths,
+    planar_code_bytes,
+    write_graph6,
+)
 from totbond.corpus import girth4_corpus
 from totbond.embedding import Embedding
 from totbond.families import complete, complete_bipartite, cycle, path
@@ -25,7 +32,6 @@ from totbond.formats import (
     parse_graphs,
     read_graphs,
     sniff_format,
-    write_graph6,
 )
 from totbond.graphs import Graph
 
@@ -135,6 +141,23 @@ class TestGraph6:
             parse_graph6(b"BF")
         assert err.value.line is None
 
+    def test_non_ascii_text_record_rejected(self):
+        # "é" must not decode as "?", the graph6 value 0
+        for record, offset in (("Cé", 1), (" Cé", 1), (">>graph6<<C~é", 12), ("é", 0)):
+            with pytest.raises(FormatError, match="outside graph6 range") as err:
+                parse_graph6(record)
+            assert err.value.offset == offset, record
+
+    def test_non_ascii_text_stream_rejected(self):
+        with pytest.raises(FormatError, match="outside graph6 range") as err:
+            list(iter_graph6(io.StringIO("C~\n\nCé\n")))
+        assert (err.value.line, err.value.offset) == (3, 1)
+        assert list(iter_graph6(io.StringIO("C~\n\n Bw \n"))) == [complete(4), complete(3)]
+        # text lines strip as their bytes do: "\x1c" is not blank space
+        for stream in (io.StringIO("C~\x1c\n"), io.BytesIO(b"C~\x1c\n")):
+            with pytest.raises(FormatError, match="byte 28 outside graph6 range"):
+                list(iter_graph6(stream))
+
     def test_stream_round_trip(self):
         graphs = [path(4), cycle(5), complete(3)]
         buf = io.BytesIO()
@@ -215,7 +238,7 @@ class TestPlanarCode:
         got = list(iter_planar_code(io.BytesIO(blob)))
         assert len(got) == 1
         assert got[0].graph == emb.graph
-        assert sorted(got[0].face_lengths()) == sorted(emb.face_lengths())
+        assert sorted(face_lengths(got[0])) == sorted(face_lengths(emb))
 
     def test_requires_header(self):
         with pytest.raises(FormatError):

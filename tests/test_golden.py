@@ -19,12 +19,11 @@ import hashlib
 
 import pytest
 
-from oracles import theta_graph
+from oracles import theta_graph, write_graph6
 from totbond.campaigns import THEOREM_TAGS
 from totbond.cli import main
 from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus
 from totbond.families import complete, complete_multipartite, cycle, path
-from totbond.formats import write_graph6
 from totbond.graphs import Graph
 from totbond.smallgraphs import enumerate_graph_classes
 from totbond.trees import enumerate_trees

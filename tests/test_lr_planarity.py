@@ -1,7 +1,8 @@
 """The left-right planarity test gives networkx's rotation, and needs no networkx.
 
-`totbond.planar` ports networkx 3.x's non-recursive LRPlanarity step for
-step, so `planar_embedding(g).rotation` must equal `networkx_rotation(g)`
+`totbond.planar` ports networkx 3.x's non-recursive LRPlanarity and
+writes out the rotation its embedding phase builds, so
+`planar_embedding(g).rotation` must equal `networkx_rotation(g)`
 (None for a non-planar graph) on every graph here, and `is_planar` must
 agree.  Every CLI record that reads a rotation depends on that.
 """
@@ -12,11 +13,10 @@ import subprocess
 import sys
 
 import pytest
-from oracles import networkx_rotation, petersen
+from oracles import networkx_rotation, petersen, write_graph6
 
 from totbond.corpus import girth4_corpus, planar_min3_corpus
 from totbond.families import complete, complete_bipartite
-from totbond.formats import write_graph6
 from totbond.graphs import Graph
 from totbond.planar import is_planar, planar_embedding
 from totbond.smallgraphs import enumerate_graph_classes
@@ -93,6 +93,31 @@ def test_seeded_random_sweep():
     from networkx.algorithms.planarity import ConflictPair
 
     assert all(iv.empty() for iv in ConflictPair.__init__.__defaults__)
+
+
+def stacked_triangulation(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges of a random stacked triangulation: each new vertex goes into a face."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]  # inner and outer
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
+
+
+def test_deep_stacked_triangulations():
+    # many back edges on both sides of each child, which the small random
+    # sweep seldom has
+    rng = random.Random(2009)
+    for _ in range(200):
+        n = rng.randint(4, 120)
+        edges = stacked_triangulation(n, rng)
+        keep = 1 - rng.random() * 0.4
+        label = list(range(n))
+        rng.shuffle(label)
+        g = Graph.from_edges(n, [(label[u], label[v]) for u, v in edges if rng.random() < keep])
+        assert same_as_networkx(g)
 
 
 def test_grids_with_chords_no_recursion():
