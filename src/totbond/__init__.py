@@ -27,7 +27,6 @@ from .formats import (
     parse_edge_list,
     parse_graph6,
     parse_graphs,
-    read_embeddings,
     read_graphs,
 )
 from .graphs import Edge, Graph, IsolatedVertexError
@@ -99,7 +98,6 @@ __all__ = [
     "parse_graphs",
     "path",
     "planar_embedding",
-    "read_embeddings",
     "read_graphs",
     "run_campaign",
     "scan_witnesses",

@@ -23,8 +23,9 @@ from .campaigns import (
 )
 from .corpus import girth4_corpus, planar_min3_corpus
 from .domination import gamma_t
+from .embedding import Embedding
 from .families import FamilySpec
-from .formats import FormatError, edges_text, graph6_bytes, parse_graphs, read_embeddings, read_graphs
+from .formats import FormatError, edges_text, graph6_bytes, parse_graphs, read_graphs
 from .graphs import Graph, IsolatedVertexError
 from .trees import check_tree_order, enumerate_trees
 from .witnesses import (
@@ -86,22 +87,24 @@ def resolve_corpus(src: str) -> list[Graph]:
             raise SystemExit(f"{exc} in corpus spec {src!r}") from None
         return out
     if os.path.exists(src):
-        try:
-            return list(read_graphs(src))
-        except FormatError as exc:
-            raise _malformed(src, exc) from None
+        return _load_inputs(src)
     raise SystemExit(f"no such corpus or file: {src!r}")
 
 
-def _load_inputs(path: str) -> list[Graph]:
+def _read_inputs(path: str) -> list[Graph] | list[Embedding]:
+    """Graphs from a file or stdin ("-"), or a planar_code input's embeddings."""
     if path != "-" and not os.path.exists(path):
         raise SystemExit(f"no such input file: {path!r}")
     try:
         if path == "-":
             return parse_graphs(sys.stdin.buffer.read())
-        return list(read_graphs(path))
+        return read_graphs(path)
     except FormatError as exc:
         raise _malformed(path, exc) from None
+
+
+def _load_inputs(path: str) -> list[Graph]:
+    return [x.graph if isinstance(x, Embedding) else x for x in _read_inputs(path)]
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -237,17 +240,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _load_with_embeddings(path: str):
-    """Pairs (graph, embedding); planar_code files carry their own."""
+    """Pairs (graph, embedding); planar_code input keeps its own rotations."""
     from .planar import planar_embedding
 
-    if path.endswith((".pc", ".plc")):
-        if not os.path.exists(path):
-            raise SystemExit(f"no such input file: {path!r}")
-        try:
-            return [(emb.graph, emb) for emb in read_embeddings(path)]
-        except FormatError as exc:
-            raise _malformed(path, exc) from None
-    return [(g, planar_embedding(g)) for g in _load_inputs(path)]
+    return [
+        (x.graph, x) if isinstance(x, Embedding) else (x, planar_embedding(x))
+        for x in _read_inputs(path)
+    ]
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:

@@ -14,28 +14,22 @@ keep each one whose neighborhood is disjoint from those kept so far.
 Every kept vertex needs a dominator of its own, so more of them than the
 remaining budget means no cover below the node.  A max-gain bound
 (budget times the largest coverage must reach the uncovered count)
-catches the dense cases.  `gamma_t` also starts its deepening at the
-root's packing bound.  Both bounds only cut subtrees that hold no cover;
-the branching vertex and the candidate order are those of the plain
-search, so every depth finds the same first cover and the witnesses do
-not depend on the bounds.
+catches the dense cases.  Both bounds only cut subtrees that hold no
+cover; the branching vertex and the candidate order are those of the
+plain search, so every depth finds the same first cover and the
+witnesses do not depend on the bounds.
 
-`gamma_t` also splits V into coverer classes (`_coverer_classes`): two
-vertices share a class when they share a neighbour, closed under chains.
-The classes are the connected components, with a bipartite component
-split into its two sides, each covered only from the other.  No vertex
-covers two classes, so gamma_t is the sum of the per-class minima, and
-each class deepens `_cover_search` from its own packing bound with
-`uncovered` set to that class (van Rooij & Bodlaender, Discrete Appl.
-Math. 159, 2011).  The witness does not move: it is the greedy cover
-when that is already minimum, else the first cover one search over all
-of V finds at depth gamma_t, which is the set a single deepening loop
-over V returns.  In that search each pick covers one class only, the
-branching vertex and candidate order inside a class depend on that class
-alone, and with no budget to spare every class gets exactly its own
-minimum.  So it ends with the first cover of each class at that class's
-minimum.  The per-class searches find exactly those covers, and
-`gamma_t` joins them instead of searching V again.
+`gamma_t` first tries the greedy cover over V and stops there when it
+meets the root's lower bound.  Otherwise it splits V into coverer
+classes (`_coverer_classes`): two vertices share a class when they share
+a neighbour, closed under chains.  The classes are the connected
+components, with a bipartite component split into its two sides, each
+covered only from the other.  No vertex covers two classes, so gamma_t
+is the sum of the per-class minima, and each class deepens
+`_cover_search` from its own bound with `uncovered` set to that class
+(van Rooij & Bodlaender, Discrete Appl. Math. 159, 2011).  The witness
+is the greedy cover when that is minimum, else the join of each class's
+first cover at that class's minimum.
 """
 
 from __future__ import annotations
@@ -198,28 +192,16 @@ def gamma_t(g: Graph) -> DominationCertificate:
     lb = max(2, -(-g.n // delta), _packing(order, full, g.n))
     if lb < len(best):
         # no vertex covers two classes, so a minimum cover is a minimum
-        # cover of each class side by side; one class is V itself, and
-        # its loop is the plain deepening loop from lb
-        parts = []
+        # cover of each class side by side; each class deepens from its
+        # own bound until a cover turns up, which it must
+        joined = []
         for cls in _coverer_classes(adj, full):
-            greedy = _greedy_cover(adj, cls, g.n)
-            start = max(-(-cls.bit_count() // delta), _packing(order, cls, g.n))
-            for k in range(start, len(greedy)):
-                got = _cover_search(adj, order, cls, k, [])
-                if got is not None:
-                    break
-            else:
-                k, got = len(greedy), None
-            parts.append((cls, k, got))
-        if sum(k for _, k, _ in parts) < len(best):
-            best = []
-            for cls, k, got in parts:
-                if got is None:
-                    # only the class's greedy cover reached its minimum:
-                    # take the first cover at that size, as the search
-                    # over V at depth gamma_t would
-                    got = _cover_search(adj, order, cls, k, [])
-                best += got
+            k = max(-(-cls.bit_count() // delta), _packing(order, cls, g.n))
+            while (got := _cover_search(adj, order, cls, k, [])) is None:
+                k += 1
+            joined += got
+        if len(joined) < len(best):
+            best = joined
     return DominationCertificate(len(best), frozenset(best))
 
 

@@ -69,22 +69,18 @@ class Embedding:
 
 def _trace_faces(rotation) -> tuple[tuple[int, ...], ...]:
     """Orbit decomposition of directed edges under the face successor rule."""
-    succ = {}
-    for v, order in enumerate(rotation):
-        d = len(order)
-        for i, u in enumerate(order):
-            # after (u, v) comes (v, w): w follows u clockwise at v
-            succ[(u, v)] = (v, order[(i + 1) % d])
+    # after[v][u] is the neighbour that follows u clockwise at v, so the
+    # dart (u, v) steps to (v, after[v][u]); a walked dart leaves the map
+    after = [dict(zip(order, order[1:] + order[:1])) for order in rotation]
     faces = []
-    # each face opens at its least dart not yet walked: one pass over the
-    # sorted darts, popping each dart from succ as its face walks it
-    for start in sorted(succ):
-        if start not in succ:
-            continue
-        walk = []
-        cur = start
-        while cur in succ:
-            walk.append(cur[0])
-            cur = succ.pop(cur)
-        faces.append(tuple(walk))
+    # each face opens at its least dart not yet walked
+    for u, order in enumerate(rotation):
+        for v in sorted(order):
+            walk = []
+            a, b = u, v
+            while (c := after[b].pop(a, None)) is not None:
+                walk.append(a)
+                a, b = b, c
+            if walk:
+                faces.append(tuple(walk))
     return tuple(faces)

@@ -7,7 +7,7 @@ is one binary string, the joined string is one integer, and base64 does
 the 6-bit grouping, since its alphabet is the same 64 values in another
 order and one translation table maps the one onto the other.  Decoding
 runs the same steps backwards.  Edge lists are text lines "u v" with
-0-based vertex ids.  planar_code is the binary embedding format: a
+0-based vertex ids in ASCII decimal digits.  planar_code is the binary embedding format: a
 ">>planar_code<<" header, then per graph a vertex count followed by each
 vertex's clockwise neighbor list, 1-based and 0-terminated.  Parse
 failures report the byte offset where they happened.
@@ -167,9 +167,15 @@ def iter_graph6(stream) -> "iter[Graph]":
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
-    """Parse "u v" lines (0-based).  Blank lines and #-comments are skipped."""
+    """Parse "u v" lines (0-based).  Blank lines and #-comments are skipped.
+
+    Vertex ids are ASCII decimal digits only: no sign, no underscore, no
+    other script's digits.  Bytes are decoded as UTF-8 and text is taken
+    as it is, so both forms read alike and offsets count UTF-8 bytes; a
+    byte that is not UTF-8 survives the decode and counts as one.
+    """
     if isinstance(text, bytes):
-        text = text.decode("ascii", errors="replace")
+        text = text.decode("utf-8", errors="surrogateescape")
     edges = []
     top = -1
     offset = 0
@@ -179,15 +185,14 @@ def parse_edge_list(text: str | bytes) -> Graph:
             parts = stripped.split()
             if len(parts) != 2:
                 raise FormatError(f"expected 'u v', got {stripped!r}", offset)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(f"non-integer vertex in {stripped!r}", offset) from None
-            if u < 0 or v < 0 or u == v:
+            if not all(p.isascii() and p.isdigit() for p in parts):
+                raise FormatError(f"non-integer vertex in {stripped!r}", offset)
+            u, v = int(parts[0]), int(parts[1])
+            if u == v:
                 raise FormatError(f"bad edge {u} {v}", offset)
             edges.append((u, v))
             top = max(top, u, v)
-        offset += len(line.encode("ascii", errors="replace"))
+        offset += len(line.encode("utf-8", errors="surrogateescape"))
     return Graph.from_edges(top + 1, edges)
 
 
@@ -207,8 +212,6 @@ def iter_planar_code(stream) -> "iter[Embedding]":
     anything else is reported as a format error.
     """
     data = stream.read()
-    if isinstance(data, str):
-        data = data.encode("latin1")
     if not data.startswith(PLANAR_CODE_HEADER):
         raise FormatError("missing >>planar_code<< header", 0)
     pos = len(PLANAR_CODE_HEADER)
@@ -275,29 +278,23 @@ def sniff_format(data: bytes, path: str | None = None) -> str:
     return "edge-list"
 
 
-def read_graphs(path: str, fmt: str | None = None) -> list[Graph]:
-    """Read every graph in a file, sniffing the format unless given."""
+def read_graphs(path: str) -> list[Graph] | list[Embedding]:
+    """Read every graph in a file; see `parse_graphs`."""
     with open(path, "rb") as fh:
-        return parse_graphs(fh.read(), fmt, path)
+        return parse_graphs(fh.read(), path)
 
 
-def parse_graphs(data: bytes, fmt: str | None = None, path: str | None = None) -> list[Graph]:
-    """Parse every graph in raw bytes, sniffing the format unless given.
+def parse_graphs(data: bytes, path: str | None = None) -> list[Graph] | list[Embedding]:
+    """Parse every graph in raw bytes, sniffing the format.
 
-    `path`, when known, only lends its extension to the sniffing.
+    A planar_code stream gives its embeddings, each with its graph as
+    `.graph`, so the rotations it stores are kept; every other format
+    gives graphs.  `path`, when known, only lends its extension to the
+    sniffing.
     """
-    if fmt is None:
-        fmt = sniff_format(data, path)
+    fmt = sniff_format(data, path)
     if fmt == "graph6":
         return list(iter_graph6(io.BytesIO(data)))
     if fmt == "edge-list":
         return [parse_edge_list(data)]
-    if fmt == "planar_code":
-        return [emb.graph for emb in iter_planar_code(io.BytesIO(data))]
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def read_embeddings(path: str) -> list[Embedding]:
-    """Read a planar_code file as embeddings."""
-    with open(path, "rb") as fh:
-        return list(iter_planar_code(fh))
+    return list(iter_planar_code(io.BytesIO(data)))

@@ -376,15 +376,8 @@ def detect_borodin(emb: Embedding, reading: str = AT_MOST) -> ConfigurationRepor
         elif k == 4:
             if degs[0] == 3 and degs[1] == 3 and degs[2] <= 5:
                 hits["borodin-b"].append((verts, "two-3-vertices"))
-            else:
-                counts = {d: degs.count(d) for d in set(degs)}
-                if counts.get(3, 0) >= 1 and counts.get(4, 0) >= 2:
-                    rest = list(degs)
-                    rest.remove(3)
-                    rest.remove(4)
-                    rest.remove(4)
-                    if rest[0] <= 5:
-                        hits["borodin-b"].append((verts, "one-3-two-4"))
+            elif degs[0] == 3 and degs[1] == degs[2] == 4 and degs[3] <= 5:
+                hits["borodin-b"].append((verts, "one-3-two-4"))
         else:
             if degs[0] == 3 and degs[1] == 3 and degs[2] == 3 and degs[3] == 3 and degs[4] <= 5:
                 hits["borodin-c"].append((verts, "four-3-vertices"))

@@ -447,6 +447,29 @@ def is_spherical(emb: Embedding) -> bool:
     return emb.graph.is_connected() and emb.euler_characteristic() == 2
 
 
+def dart_trace_faces(rotation) -> tuple[tuple[int, ...], ...]:
+    """The face tracer `totbond.embedding._trace_faces` replaced: a dict
+    keyed by dart tuples, walked from the sorted darts.  The production
+    tracer must give the same faces in the same order."""
+    succ = {}
+    for v, order in enumerate(rotation):
+        d = len(order)
+        for i, u in enumerate(order):
+            # after (u, v) comes (v, w): w follows u clockwise at v
+            succ[(u, v)] = (v, order[(i + 1) % d])
+    faces = []
+    for start in sorted(succ):
+        if start not in succ:
+            continue
+        walk = []
+        cur = start
+        while cur in succ:
+            walk.append(cur[0])
+            cur = succ.pop(cur)
+        faces.append(tuple(walk))
+    return tuple(faces)
+
+
 def edge_list_text(g: Graph) -> str:
     return "".join(f"{u} {v}\n" for u, v in g.edges())
 

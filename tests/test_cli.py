@@ -343,6 +343,37 @@ class TestDischarge:
         assert sum(1 for ln in out if ln.strip().startswith("face=")) == 6
 
 
+class TestPlanarCodeInput:
+    def test_rotation_kept_under_any_name_and_on_stdin(self, tmp_path, capsys, monkeypatch):
+        import io
+
+        from oracles import planar_code_bytes
+        from totbond.embedding import Embedding
+        from totbond.planar import planar_embedding
+
+        # the prism's mirrored rotation traces its faces in another order
+        # than the left-right test's rotation, so a re-embedded input shows
+        prism = Graph.from_edges(
+            6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+        )
+        mirrored = Embedding.from_rotation([r[::-1] for r in planar_embedding(prism).rotation])
+        data = planar_code_bytes([mirrored])
+        for argv in (["detect"], ["discharge", "--full"]):
+            outs = []
+            for name in ("x.pc", "x.bin", "-"):
+                if name == "-":
+                    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+                else:
+                    (tmp_path / name).write_bytes(data)
+                    name = str(tmp_path / name)
+                assert main([argv[0], name] + argv[1:]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] == outs[2], argv
+        faces = [ln.split()[1] for ln in outs[0].splitlines() if ln.startswith("  face=")]
+        assert faces == [f"length={len(f)}" for f in mirrored.faces]
+        assert faces != [f"length={len(f)}" for f in planar_embedding(prism).faces]
+
+
 class TestCampaign:
     def test_clean_run_exits_zero(self, capsys):
         rc = main(["campaign", "--theorem", "thm-paths", "--corpus", "paths:4..8", "--jobs", "1"])

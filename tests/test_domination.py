@@ -21,6 +21,7 @@ from totbond.domination import (
 from totbond.families import complete, complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError
 from totbond.smallgraphs import enumerate_graph_classes
+from totbond.witnesses import RULES, apply_rule, find_anchors
 
 
 def isolate_free_graphs(max_n):
@@ -142,6 +143,23 @@ def _relabelled(g, seed):
     return g.relabel(perm)
 
 
+def _replay_graphs():
+    """G - B for a seeded sample of witness edge sets B on the girth4
+    graphs with n <= 20.  Deleting B leaves many coverer classes."""
+    rng = random.Random(12)
+    out = []
+    for g in girth4_corpus():
+        if g.n > 20:
+            continue
+        for rule in RULES:
+            anchors = find_anchors(g, rule)
+            for a in rng.sample(anchors, min(4, len(anchors))):
+                h = g.delete_edges(apply_rule(g, rule, a).edges)
+                if not h.has_isolated_vertex():
+                    out.append(h)
+    return out
+
+
 class TestAgainstDeepening:
     """The class split must give the value and the witness of the single
     deepening loop it replaced."""
@@ -163,6 +181,27 @@ class TestAgainstDeepening:
             for seed in range(3):
                 h = _relabelled(g, seed)
                 assert gamma_t(h) == deepening_gamma_t(h), (g, seed)
+
+    def test_witness_replay_graphs(self):
+        graphs = _replay_graphs()
+        assert len(graphs) == 217
+        for h in graphs:
+            assert gamma_t(h) == deepening_gamma_t(h), h
+
+    def test_disjoint_unions(self):
+        # 2 to 4 components, their vertices interleaved by a relabelling
+        rng = random.Random(34)
+        pool = [h for h in _replay_graphs() if h.n <= 16]
+        pool += [g for g in girth4_corpus() if g.n <= 14]
+        for _ in range(30):
+            edges, n = [], 0
+            for part in rng.sample(pool, rng.randint(2, 4)):
+                edges += [(u + n, v + n) for u, v in part.edges()]
+                n += part.n
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(n, edges).relabel(perm)
+            assert gamma_t(h) == deepening_gamma_t(h), h
 
     def test_icosahedron_incidence(self):
         g = icosahedron_incidence()

@@ -1,10 +1,12 @@
 """Rotation systems: validation, face tracing, Euler bookkeeping."""
 
+import random
+
 import pytest
-from oracles import face_lengths, is_spherical
+from oracles import dart_trace_faces, face_lengths, is_spherical, petersen
 
 from totbond.embedding import Embedding, EmbeddingError
-from totbond.families import complete, cycle
+from totbond.families import complete, complete_bipartite, cycle
 from totbond.graphs import Graph
 
 
@@ -106,6 +108,26 @@ class TestFaceTracing:
                 assert unused.issuperset(walk)
                 unused.difference_update(walk)
             assert not unused
+
+    def test_same_faces_as_dart_tracer_off_the_sphere(self):
+        # shuffled rotations are mostly of higher genus, where faces are
+        # long and wind through many vertices
+        rng = random.Random(533)
+        rotations = [[(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)], [(1,), (0,), (3,), (2,)]]
+        for g in (complete(5), complete(6), complete_bipartite(3, 3), petersen(), cycle(5)):
+            for _ in range(4):
+                rot = []
+                for v in range(g.n):
+                    order = [u for u in range(g.n) if g.adj[v] >> u & 1]
+                    rng.shuffle(order)
+                    rot.append(tuple(order))
+                rotations.append(rot)
+        off = 0
+        for rot in rotations:
+            emb = Embedding.from_rotation(rot)
+            off += not is_spherical(emb)
+            assert emb.faces == dart_trace_faces(emb.rotation), rot
+        assert off == 18  # all but the four cycles
 
     def test_disconnected_not_spherical(self):
         emb = Embedding.from_rotation([(1,), (0,), (3,), (2,)])

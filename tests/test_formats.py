@@ -28,7 +28,6 @@ from totbond.formats import (
     iter_planar_code,
     parse_edge_list,
     parse_graph6,
-    read_embeddings,
     parse_graphs,
     read_graphs,
     sniff_format,
@@ -224,6 +223,35 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             parse_edge_list("2 2\n")
 
+    @staticmethod
+    def rejected_alike(line):
+        # text and its UTF-8 bytes fail at the line's offset with one message
+        text = "0 1\n" + line + "\n"
+        errors = []
+        for data in (text, text.encode()):
+            with pytest.raises(FormatError) as err:
+                parse_edge_list(data)
+            errors.append(err.value)
+        assert errors[0].offset == errors[1].offset == 4
+        assert str(errors[0]) == str(errors[1]) == f"non-integer vertex in {line!r} (byte offset 4)"
+        assert "\ufffd" not in str(errors[1])
+
+    def test_other_script_digits_rejected(self):
+        self.rejected_alike("\u0661 \u0662")  # Arabic-Indic one and two
+
+    def test_underscore_in_vertex_rejected(self):
+        self.rejected_alike("1_0 2")
+
+    def test_signed_vertex_rejected(self):
+        self.rejected_alike("+1 2")
+
+    def test_offsets_count_utf8_bytes(self):
+        # a comment with a two-byte character moves the bad line by 2 bytes
+        for data in ("# \u00e9\n1 x\n", "# \u00e9\n1 x\n".encode()):
+            with pytest.raises(FormatError) as err:
+                parse_edge_list(data)
+            assert err.value.offset == 5
+
 
 class TestPlanarCode:
     def cube_embedding(self):
@@ -288,7 +316,7 @@ class TestDispatch:
         emb = planar_embedding(cube())
         p = tmp_path / "x.pc"
         p.write_bytes(planar_code_bytes([emb]))
-        got = list(read_embeddings(str(p)))
+        # embeddings, rotations included, with the graphs as .graph
+        got = read_graphs(str(p))
+        assert got == [emb]
         assert got[0].graph == cube()
-        graphs = list(read_graphs(str(p)))
-        assert graphs == [cube()]

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from oracles import networkx_rotation, petersen, write_graph6
+from oracles import dart_trace_faces, networkx_rotation, petersen, write_graph6
 
 from totbond.corpus import girth4_corpus, planar_min3_corpus
 from totbond.families import complete, complete_bipartite
@@ -25,10 +25,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def same_as_networkx(g: Graph) -> bool:
-    """Assert the rotations match; True when g is planar."""
+    """Assert the rotations match, and the faces the dart-dict tracer's;
+    True when g is planar."""
     emb = planar_embedding(g)
     want = networkx_rotation(g)
     assert (None if emb is None else emb.rotation) == want, (g.n, g.edges())
+    if emb is not None:
+        assert emb.faces == dart_trace_faces(emb.rotation), (g.n, g.edges())
     assert is_planar(g) == (want is not None), (g.n, g.edges())
     return want is not None
 

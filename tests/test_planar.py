@@ -8,7 +8,7 @@ stays small, which covers every subcubic graph we care to check.
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from oracles import is_spherical, petersen
@@ -161,6 +161,38 @@ class TestBorodinDetector:
         g = cube()
         rep = detect_borodin(planar_embedding(g))
         assert "borodin-b" in rep.tags
+
+    def test_quad_face_rule_matches_counting_rule(self):
+        # every sorted degree 4-tuple over 3..12 on a hand-built embedding
+        # that lists one 4-face only; spokes into a K11 hub give the face's
+        # vertices their degrees
+        def counting_rule(degs):
+            if degs[0] == 3 and degs[1] == 3 and degs[2] <= 5:
+                return "two-3-vertices"
+            counts = {d: degs.count(d) for d in set(degs)}
+            if counts.get(3, 0) >= 1 and counts.get(4, 0) >= 2:
+                rest = list(degs)
+                rest.remove(3)
+                rest.remove(4)
+                rest.remove(4)
+                if rest[0] <= 5:
+                    return "one-3-two-4"
+            return None
+
+        hub = range(4, 15)
+        clique = [(a, b) for a in hub for b in hub if a < b]
+        face = (0, 1, 2, 3)
+        fired = 0
+        for degs in combinations_with_replacement(range(3, 13), 4):
+            spokes = [(v, h) for v, d in enumerate(degs) for h in hub[: d - 2]]
+            g = Graph.from_edges(15, [(0, 1), (1, 2), (2, 3), (3, 0)] + clique + spokes)
+            assert tuple(g.degrees()[:4]) == degs
+            rep = detect_borodin(Embedding(g, (), (face,)))
+            want = counting_rule(degs)
+            assert rep.hits["borodin-b"] == (((face, want),) if want else ()), degs
+            fired += want is not None
+        # (3, 3, 3..5, up to 12) is 10 + 9 + 8 tuples, and then (3, 4, 4, 4..5)
+        assert fired == 27 + 2
 
     def test_skips_non_induced_walks(self):
         # two K4s glued at a vertex: the cut vertex repeats in one walk
