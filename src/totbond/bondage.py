@@ -10,7 +10,9 @@ ones, which are star forests, and a star forest with c components has
 gamma_t = 2c; the largest such c equals nu(G).  When the criterion
 fails no edge deletion can push gamma_t above its ceiling, so b_t is
 infinite.  The criterion is validated exhaustively at small orders by
-the test suite before anything relies on it.
+the test suite before anything relies on it.  Any matching bounds nu
+from below, so the blossom phase runs only when the greedy seed
+matching does not already show 2*nu > gamma_t.
 
 The sweep walks colex order depth first.  For each largest edge in
 ascending order come the subsets of the edges below it, so a node -- a
@@ -26,6 +28,16 @@ below hi, and their number is what killing v costs.  With one edge left
 (j = 1) only the edges that kill every surviving pooled set are tried,
 each at its own place in the sweep.  The exact cover solver runs only
 when no pooled set survives, and every cover it finds joins the pool.
+
+A node with two edges left rules on each child from its own kill masks
+before it deletes the child's edge (u, v).  Each pooled set D keeps its
+mask under the node's U, computed once per node when first needed.
+Deleting edges takes no kill edge away (a vertex with one D-edge keeps
+it, or D dies), so the child's mask for D is the node's mask plus the
+kill edges that u and v gain; D is passed over when it loses every
+D-neighbour of u or of v.  When these masks share no edge below (u, v)
+the child is skipped as its last-edge step would skip it, and only the
+other children are visited.
 
 A skipped block holds no bondage set and a tried edge is the only kind
 that can finish one, so the walk meets bondage sets in the order the
@@ -93,18 +105,26 @@ class BondageCertificate:
         raise ValueError(f"bondage undecided up to cap {self.cap}")
 
 
+def _greedy_matching(g: Graph) -> list[int]:
+    """A maximal matching: each free vertex in turn takes its lowest free
+    neighbour.  match[v] is v's partner, or -1."""
+    match = [-1] * g.n
+    free = (1 << g.n) - 1
+    for u, a in enumerate(g.adj):
+        a &= free
+        if free >> u & 1 and a:
+            v = (a & -a).bit_length() - 1
+            match[u] = v
+            match[v] = u
+            free ^= 1 << u | 1 << v
+    return match
+
+
 def max_matching_size(g: Graph) -> int:
     """Maximum matching size, general graphs (blossom contraction)."""
     n = g.n
     adj = [list(_bits(a)) for a in g.adj]
-    match = [-1] * n
-    for u in range(n):  # greedy seed, halves the augmentation count
-        if match[u] == -1:
-            for v in adj[u]:
-                if match[v] == -1:
-                    match[u] = v
-                    match[v] = u
-                    break
+    match = _greedy_matching(g)  # greedy seed, halves the augmentation count
 
     parent = [-1] * n
     base = list(range(n))
@@ -246,10 +266,14 @@ class _Sweep:
         if not all(self._killable(d, j, hi) for d in alive):
             return self._skip(comb(hi, j))
         adj, deg, edges = self.adj, self.deg, self.edges
+        masks: dict[int, int] = {}  # kill masks under this node's U, when j == 2
         for top in range(j - 1, hi):
             u, v = edges[top]
             if deg[u] == 1 or deg[v] == 1:  # every subset below isolates u or v
                 self._skip(comb(top, j - 1))
+                continue
+            if j == 2 and self._no_last_edge(top, alive, masks):
+                self._skip(top)
                 continue
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
@@ -287,6 +311,37 @@ class _Sweep:
             if not r & (r - 1):
                 out |= ebit[v * n + r.bit_length() - 1]
         return out
+
+    def _no_last_edge(self, top: int, alive: list[int], masks: dict[int, int]) -> bool:
+        """Whether the child that deletes edge `top` would find no last edge
+        below it: `_last_edge`'s ruling made from this node's kill masks.
+
+        Deleting edges takes no kill edge away, so a pooled set that
+        survives the child has this node's mask plus the kill edges that
+        the ends of `top` gain.  A child where no pooled set survives is
+        left to the exact solver.
+        """
+        n, ebit = self.n, self.ebit
+        u, v = self.edges[top]
+        au = self.adj[u] ^ (1 << v)
+        av = self.adj[v] ^ (1 << u)
+        rest = (1 << top) - 1
+        for d in alive:
+            ru = au & d
+            rv = av & d
+            if not (ru and rv):  # deleting top kills d
+                continue
+            kills = masks.get(d)
+            if kills is None:
+                kills = masks[d] = self._kills(d)
+            if not ru & (ru - 1):
+                kills |= ebit[u * n + ru.bit_length() - 1]
+            if not rv & (rv - 1):
+                kills |= ebit[v * n + rv.bit_length() - 1]
+            rest &= kills
+            if not rest:
+                return True
+        return False
 
     def _last_edge(self, hi: int, alive: list[int]) -> frozenset[Edge] | None:
         # only an edge that kills every surviving TDS can finish a bondage set
@@ -349,7 +404,10 @@ def bondage(g: Graph, cap: int | None = None, work_budget: int | None = None) ->
     """
     before = gamma_t(g)  # raises on isolated vertices
     gv = before.value
-    if 2 * max_matching_size(g) <= gv:
+    # the greedy seed is a matching too: once its matched vertices (twice
+    # its size) outnumber gamma_t, the blossom phase has nothing to decide
+    matched = g.n - _greedy_matching(g).count(-1)
+    if matched <= gv and 2 * max_matching_size(g) <= gv:
         return BondageCertificate(
             "infinite", None, None, gv, None, criterion=INFINITE_CRITERION,
             stats=BondageStats(0, 0, 0),

@@ -425,7 +425,20 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_bounds)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    for flag, least in (("cap", 0), ("work_budget", 0), ("jobs", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise SystemExit(f"--{flag.replace('_', '-')}: must be at least {least}, got {value}")
+    try:
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): end quietly with the status
+        # a shell reports for a tool that SIGPIPE (13) ends, and give the
+        # exit-time flush a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
+    return status
 
 
 if __name__ == "__main__":

@@ -27,9 +27,11 @@ components, with a bipartite component split into its two sides, each
 covered only from the other.  No vertex covers two classes, so gamma_t
 is the sum of the per-class minima, and each class deepens
 `_cover_search` from its own bound with `uncovered` set to that class
-(van Rooij & Bodlaender, Discrete Appl. Math. 159, 2011).  The witness
-is the greedy cover when that is minimum, else the join of each class's
-first cover at that class's minimum.
+(van Rooij & Bodlaender, Discrete Appl. Math. 159, 2011).  Deepening
+stops as soon as the classes solved so far plus the bounds of the rest
+reach the greedy size, since the join can then not beat the greedy
+cover.  The witness is the greedy cover when that is minimum, else the
+join of each class's first cover at that class's minimum.
 """
 
 from __future__ import annotations
@@ -193,14 +195,23 @@ def gamma_t(g: Graph) -> DominationCertificate:
     if lb < len(best):
         # no vertex covers two classes, so a minimum cover is a minimum
         # cover of each class side by side; each class deepens from its
-        # own bound until a cover turns up, which it must
-        joined = []
-        for cls in _coverer_classes(adj, full):
-            k = max(-(-cls.bit_count() // delta), _packing(order, cls, g.n))
-            while (got := _cover_search(adj, order, cls, k, [])) is None:
+        # own bound until a cover turns up, which it must, unless the
+        # classes solved plus the bounds still to come reach the greedy
+        # size: then the join cannot beat the greedy cover
+        classes = _coverer_classes(adj, full)
+        bounds = [max(-(-c.bit_count() // delta), _packing(order, c, g.n)) for c in classes]
+        joined: list[int] = []
+        rest = sum(bounds)
+        for cls, k in zip(classes, bounds):
+            rest -= k
+            while len(joined) + k + rest < len(best):
+                if (got := _cover_search(adj, order, cls, k, [])) is not None:
+                    break
                 k += 1
+            else:
+                break  # keep the greedy cover
             joined += got
-        if len(joined) < len(best):
+        else:  # every class solved, and the join is smaller
             best = joined
     return DominationCertificate(len(best), frozenset(best))
 

@@ -164,6 +164,102 @@ def colex_bondage(g: Graph, cap: int | None = None, work_budget: int | None = No
     return BondageCertificate("unknown-above-cap", None, None, gv, None, cap=cap_eff)
 
 
+def walk_bondage(g: Graph, cap: int | None = None, work_budget: int | None = None):
+    """Total bondage by the depth-first walk that `totbond.bondage` replaced.
+
+    Every child of a node is visited, each last-edge step computes its
+    kill masks afresh, and finiteness always runs the blossom matching.
+    `totbond.bondage.bondage` must return an equal certificate with equal
+    `BondageStats` for every (graph, cap, work_budget).
+    """
+    from totbond.bondage import (
+        DEFAULT_CAP_SLACK,
+        INFINITE_CRITERION,
+        BondageCertificate,
+        BondageStats,
+        _OutOfBudget,
+        _Sweep,
+        max_matching_size,
+    )
+    from totbond.domination import gamma_t
+
+    class Walk(_Sweep):
+        def _inner(self, j, hi, alive):
+            if not all(self._killable(d, j, hi) for d in alive):
+                return self._skip(math.comb(hi, j))
+            adj, deg, edges = self.adj, self.deg, self.edges
+            for top in range(j - 1, hi):
+                u, v = edges[top]
+                if deg[u] == 1 or deg[v] == 1:
+                    self._skip(math.comb(top, j - 1))
+                    continue
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                deg[u] -= 1
+                deg[v] -= 1
+                au, av = adj[u], adj[v]
+                self.chosen.append(top)
+                found = self._visit(j - 1, top, [d for d in alive if au & d and av & d])
+                self.chosen.pop()
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                deg[u] += 1
+                deg[v] += 1
+                if found is not None:
+                    return found
+            return None
+
+        def _last_edge(self, hi, alive):
+            rest = (1 << hi) - 1
+            for d in alive:
+                rest &= self._kills(d)
+                if not rest:
+                    return self._skip(hi)
+            adj, deg, edges = self.adj, self.deg, self.edges
+            base = self.examined
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                self._advance(base + x + 1)
+                u, v = edges[x]
+                if deg[u] == 1 or deg[v] == 1:
+                    continue
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                cover = self._solve()
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                if cover is None:
+                    return frozenset(edges[i] for i in (*self.chosen, x))
+                rest &= self._kills(self._add(cover))
+            self._advance(base + hi)
+            return None
+
+    before = gamma_t(g)  # raises on isolated vertices
+    gv = before.value
+    if 2 * max_matching_size(g) <= gv:
+        return BondageCertificate(
+            "infinite", None, None, gv, None, criterion=INFINITE_CRITERION,
+            stats=BondageStats(0, 0, 0),
+        )
+    edges = g.edges()
+    m = len(edges)
+    cap_eff = min(m, g.max_degree() + DEFAULT_CAP_SLACK) if cap is None else max(0, min(cap, m))
+    walk = Walk(g, edges, gv, before.witness, work_budget)
+    for k in range(1, cap_eff + 1):
+        try:
+            witness = walk.level(k)
+        except _OutOfBudget:
+            return BondageCertificate(
+                "unknown-above-cap", None, None, gv, None, cap=k - 1, stats=walk.stats()
+            )
+        if witness is not None:
+            after = gamma_t(g.delete_edges(witness))
+            return BondageCertificate("finite", k, witness, gv, after.value, stats=walk.stats())
+    return BondageCertificate("unknown-above-cap", None, None, gv, None, cap=cap_eff, stats=walk.stats())
+
+
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism by scanning all vertex permutations."""
     if g.n != h.n or g.m != h.m:

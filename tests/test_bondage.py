@@ -6,8 +6,11 @@ isolate-free graph with n <= 7 and m <= 12 before anything else trusts
 it; the same corpus drives the search cross-check.  The subtree-skipping
 search is held to the per-subset colex sweep it replaced
 (`oracles.colex_bondage`): equal certificates for every cap and budget.
+It is also held to the walk that visits every last-edge child
+(`oracles.walk_bondage`): equal certificates and equal BondageStats.
 """
 
+import importlib
 import math
 
 import pytest
@@ -20,17 +23,19 @@ from oracles import (
     brute_max_matching,
     colex_bondage,
     colex_subsets,
+    walk_bondage,
 )
 from totbond.bondage import (
     DEFAULT_CAP_SLACK,
     INFINITE_CRITERION,
     BondageCertificate,
     BondageStats,
+    _greedy_matching,
     _Sweep,
     bondage,
     max_matching_size,
 )
-from totbond.corpus import cube, icosahedron, planar_min3_corpus
+from totbond.corpus import cube, icosahedron, icosahedron_incidence, planar_min3_corpus
 from totbond.families import complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError
 from totbond.smallgraphs import enumerate_graph_classes
@@ -55,6 +60,15 @@ class TestMatching:
             for g in enumerate_graph_classes(n):
                 assert max_matching_size(g) == brute_max_matching(g)
 
+    def test_greedy_seed_is_a_maximal_matching(self):
+        for n in range(1, 8):
+            for g in enumerate_graph_classes(n):
+                match = _greedy_matching(g)
+                for v, w in enumerate(match):
+                    assert w == -1 or (match[w] == v and g.adj[v] >> w & 1)
+                free = [v for v in range(n) if match[v] == -1]
+                assert not any(g.adj[v] >> w & 1 for v in free for w in free)
+
     def test_blossom_case(self):
         # two triangles joined by a bridge force an odd-cycle augmentation
         g = Graph.from_edges(
@@ -74,6 +88,23 @@ class TestFinitenessCriterion:
         """Criterion == actual existence for every connected graph n<=6."""
         for g in connected_isolate_free(6):
             assert (bondage(g, cap=0).status != "infinite") == brute_has_bondage_set(g)
+
+    def test_blossom_runs_only_when_the_greedy_seed_falls_short(self, monkeypatch):
+        module = importlib.import_module("totbond.bondage")  # the package exports the function
+        calls = []
+        real = module.max_matching_size
+        monkeypatch.setattr(module, "max_matching_size", lambda g: calls.append(g) or real(g))
+        graphs = connected_isolate_free(6) + [t for n in range(5, 11) for t in enumerate_trees(n)]
+        ran = 0
+        for g in graphs:
+            calls.clear()
+            cert = bondage(g, cap=0)
+            gv = cert.gamma_before
+            assert (cert.status != "infinite") == (2 * brute_max_matching(g) > gv)
+            seed = g.n - _greedy_matching(g).count(-1)  # matched vertices
+            assert len(calls) == (seed <= gv), g.edges()
+            ran += len(calls)
+        assert 0 < ran < len(graphs)
 
     def test_known_infinite(self):
         assert bondage(path(2), cap=0).status == "infinite"
@@ -249,6 +280,44 @@ class TestAgainstColexSweep:
                 self.check(g, cap, budget)
 
 
+class TestAgainstWalk:
+    """Same certificate and same BondageStats as the walk that visits every
+    last-edge child (`oracles.walk_bondage`)."""
+
+    def check(self, g, cap=None, budget=None):
+        got = bondage(g, cap=cap, work_budget=budget)
+        want = walk_bondage(g, cap=cap, work_budget=budget)
+        assert got == want, (g.edges(), cap, budget)
+        assert got.stats == want.stats, (g.edges(), cap, budget)
+        return got
+
+    def test_planar_min3_at_campaign_budget(self):
+        skipped = 0
+        for g in planar_min3_corpus():
+            skipped += self.check(g, budget=200000).stats.skipped_subtrees
+        assert skipped > 0
+
+    def test_icosahedron_incidence(self):
+        cert = self.check(icosahedron_incidence())
+        assert (cert.status, cert.b_t) == ("finite", 5)
+
+    def test_trees_up_to_ten(self):
+        for n in range(2, 11):
+            for g in enumerate_trees(n):
+                for cap, budget in GRID:
+                    self.check(g, cap, budget)
+
+    def test_isolate_free_classes_up_to_seven(self):
+        graphs = [
+            g for n in range(2, 8) for g in enumerate_graph_classes(n)
+            if not g.has_isolated_vertex()
+        ]
+        assert len(graphs) == 1043
+        for g in graphs:
+            for cap, budget in GRID:
+                self.check(g, cap, budget)
+
+
 class TestBudgetBoundaries:
     def test_budget_ends_at_level_end(self):
         # b_t(C6) = 3: a budget covering sizes 1 and 2 exactly completes
@@ -276,25 +345,40 @@ class TestBudgetBoundaries:
 
     def test_budget_ends_inside_skipped_subtree(self, monkeypatch):
         # record every block the search rules out without a visit, then
-        # end the budget strictly inside each block of 2 or more subsets
+        # end the budget strictly inside each block of 2 or more subsets;
+        # the blocks of last-edge children that a two-edges-left node
+        # rules out before visiting them are among them
         blocks = []
+        prechecked = []
         real_skip = _Sweep._skip
+        real_check = _Sweep._no_last_edge
 
         def record(sweep, size):
             blocks.append((sweep.examined, size))
             return real_skip(sweep, size)
 
-        for g in (cycle(6), complete_bipartite(3, 3), cube()):
+        def record_check(sweep, top, alive, masks):
+            ruled_out = real_check(sweep, top, alive, masks)
+            if ruled_out:
+                prechecked.append((sweep.examined, top))
+            return ruled_out
+
+        for g, want in ((cycle(6), 0), (complete_bipartite(3, 3), 4), (cube(), 122)):
             blocks.clear()
+            prechecked.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(_Sweep, "_skip", record)
+                mp.setattr(_Sweep, "_no_last_edge", record_check)
                 bondage(g)
             inside = sorted({start + (size + 1) // 2 for start, size in blocks if size >= 2})
             assert inside, g.edges()
+            assert sum(size >= 2 for _, size in prechecked) == want, g.edges()
+            assert set(prechecked) <= set(blocks)
             for budget in inside:
                 cert = bondage(g, work_budget=budget)
                 assert cert.status == "unknown-above-cap"
                 assert cert == colex_bondage(g, work_budget=budget)
+                assert cert.stats == walk_bondage(g, work_budget=budget).stats
 
     def test_every_budget_small_graphs(self):
         for g in (cycle(6), complete_bipartite(3, 3), path(6)):

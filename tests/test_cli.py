@@ -1,4 +1,9 @@
-"""End-to-end command line coverage through main(argv)."""
+"""End-to-end command line coverage through main(argv), and in a child
+process where a pipe is involved."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 from oracles import write_graph6
@@ -7,6 +12,9 @@ from totbond.cli import main, resolve_corpus
 from totbond.families import cycle, path
 from totbond.formats import graph6_bytes
 from totbond.graphs import Graph
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def g6(g):
@@ -407,6 +415,55 @@ class TestCampaign:
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert len([ln for ln in out if "status=match" in ln]) == 3  # C4, C5, C7
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bondage", "IN", "--work-budget", "-5"], "--work-budget"),
+            (["bondage", "IN", "--cap", "-1"], "--cap"),
+            (["bounds", "IN", "--work-budget", "-1"], "--work-budget"),
+            (["campaign", "--theorem", "thm-planar-d8", "--corpus", "planar-min3",
+              "--work-budget", "-1"], "--work-budget"),
+            (["campaign", "--theorem", "thm-paths", "--corpus", "paths:4..8", "--jobs", "0"],
+             "--jobs"),
+            (["search", "--bt", "2", "--corpus", "cycles:4..7", "--jobs", "-2"], "--jobs"),
+        ],
+    )
+    def test_negative_budget_cap_or_no_jobs_exits_with_one_line(
+        self, capsys, graph_file, argv, flag
+    ):
+        argv = [graph_file(cycle(6)) if a == "IN" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith(f"{flag}: must be at least ")
+        assert "\n" not in str(exc.value)
+        assert capsys.readouterr().out == ""
+
+    def test_zero_budget_and_cap_still_run(self, capsys, graph_file):
+        f = graph_file(cycle(6))
+        assert main(["bondage", f, "--work-budget", "0"]) == 0
+        assert main(["bondage", f, "--cap", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split()[-1] for ln in out] == ["cap=0", "cap=0"]
+
+
+def test_reader_leaving_early_ends_quietly():
+    # 155 kB of graph6, more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "totbond.cli", "gen", "--trees", "15"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.stdout.readline().strip()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 class TestCorpusResolution:

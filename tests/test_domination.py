@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_gamma_t, deepening_gamma_t, labelings
+from totbond import domination
 from totbond.corpus import girth4_corpus, icosahedron_incidence
 from totbond.domination import (
     DominationCertificate,
@@ -210,6 +211,17 @@ class TestAgainstDeepening:
 
     def test_empty_graph(self):
         assert gamma_t(Graph(0, ())) == deepening_gamma_t(Graph(0, ()))
+
+    def test_class_bounds_reaching_the_greedy_size_skip_the_search(self, monkeypatch):
+        # a triangle beside an edge: the root bound is 3 and the greedy
+        # cover has 4 vertices, which the class bounds 2 + 1 + 1 reach
+        g = Graph.from_edges(5, [(0, 2), (0, 4), (1, 3), (2, 4)])
+        want = deepening_gamma_t(g)
+        assert (want.value, len(_classes(g))) == (4, 3)
+        calls = []
+        monkeypatch.setattr(domination, "_cover_search", lambda *args: calls.append(args))
+        assert gamma_t(g) == want
+        assert calls == []
 
 
 class TestCertificates:
