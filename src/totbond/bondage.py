@@ -26,8 +26,9 @@ edge indices grow with the neighbor (edges are in lexicographic order),
 so v's largest remaining D-neighbor says whether all of v's D-edges lie
 below hi, and their number is what killing v costs.  With one edge left
 (j = 1) only the edges that kill every surviving pooled set are tried,
-each at its own place in the sweep.  The exact cover solver runs only
-when no pooled set survives, and every cover it finds joins the pool.
+each at its own place in the sweep.  The exact cover search, which
+`gamma_t` shares, runs only when no pooled set survives, and every cover
+it finds joins the pool.
 
 A node with two edges left rules on each child from its own kill masks
 before it deletes the child's edge (u, v).  Each pooled set D keeps its
@@ -402,6 +403,9 @@ def bondage(g: Graph, cap: int | None = None, work_budget: int | None = None) ->
     skipped blocks; exhausting it yields an unknown-above-cap
     certificate whose cap is the last fully completed size.
     """
+    for name, value in (("cap", cap), ("work_budget", work_budget)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     before = gamma_t(g)  # raises on isolated vertices
     gv = before.value
     # the greedy seed is a matching too: once its matched vertices (twice
@@ -417,7 +421,7 @@ def bondage(g: Graph, cap: int | None = None, work_budget: int | None = None) ->
     if cap is None:
         cap_eff = min(m, g.max_degree() + DEFAULT_CAP_SLACK)
     else:
-        cap_eff = max(0, min(cap, m))
+        cap_eff = min(cap, m)
     sweep = _Sweep(g, edges, gv, before.witness, work_budget)
     for k in range(1, cap_eff + 1):
         try:

@@ -345,6 +345,8 @@ def evaluate_theorem(tag: str, g: Graph, work_budget: int | None = None) -> Grap
 
 def _map(fn, graphs: list[Graph], jobs: int) -> list:
     """fn over graphs in corpus order; jobs > 1 spreads whole graphs over processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(graphs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, graphs))
@@ -377,6 +379,8 @@ def search_by_bondage(
 
 
 def _search_one(g: Graph, k: int, work_budget: int | None) -> GraphOutcome | None:
+    if g.has_isolated_vertex():  # b_t is undefined, so it is no match
+        return None
     cert = bondage(g, cap=k, work_budget=work_budget)
     if cert.status != "finite" or cert.b_t != k:
         return None

@@ -24,7 +24,7 @@ from .campaigns import (
 from .corpus import girth4_corpus, planar_min3_corpus
 from .domination import gamma_t
 from .embedding import Embedding
-from .families import FamilySpec
+from .families import FamilySpec, cycle, path
 from .formats import FormatError, edges_text, graph6_bytes, parse_graphs, read_graphs
 from .graphs import Graph, IsolatedVertexError
 from .trees import check_tree_order, enumerate_trees
@@ -37,6 +37,12 @@ from .witnesses import (
 )
 
 _RANGE = re.compile(r"^(paths|cycles|trees):(\d+)\.\.(\d+)$")
+# the members of order n of each range kind
+_RANGE_MEMBERS = {
+    "paths": lambda n: [path(n)],
+    "cycles": lambda n: [cycle(n)],
+    "trees": enumerate_trees,
+}
 
 _BUDGET_HELP = (
     "max edge subsets of the bondage sweep to examine, in sweep order; subsets "
@@ -77,12 +83,7 @@ def resolve_corpus(src: str) -> list[Graph]:
                 check_tree_order(lo)
                 check_tree_order(hi)
             for n in range(lo, hi + 1):
-                if kind == "paths":
-                    out.append(FamilySpec.parse(f"path:{n}").build())
-                elif kind == "cycles":
-                    out.append(FamilySpec.parse(f"cycle:{n}").build())
-                else:
-                    out.extend(enumerate_trees(n))
+                out.extend(_RANGE_MEMBERS[kind](n))
         except ValueError as exc:  # an order the family does not have
             raise SystemExit(f"{exc} in corpus spec {src!r}") from None
         return out

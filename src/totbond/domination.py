@@ -1,37 +1,37 @@
 """Exact total domination via branch-and-bound set cover.
 
 A set D totally dominates G exactly when the open neighborhoods of D's
-members cover V(G).  The solver therefore runs a covering search over
-the universe V with candidate sets {N(v)}: iterative deepening on the
-target size, branching on an uncovered vertex with the fewest remaining
-coverers.  Certificates carry the witness so callers can replay them.
+members cover V(G).  Every question here goes to one function,
+`_exists_cover(adj, full, size, least)`: a cover of `full` by at most
+`size` neighborhoods, else None, and a minimum one whenever the minimum
+is at least `least`.  `gamma_t` asks with size n and least 0.  The
+bondage sweep and `exists_total_dominating_set` only ask whether a cover
+fits in `size`, so `least` defaults to `size`.
 
-One search core, `_cover_search`, serves `gamma_t`, `_exists_cover` (the
-bondage solver's question) and `exists_total_dominating_set`.  It prunes
-a node by a packing lower bound (Henning & Yeo, Total Domination in
-Graphs, 2013): walking the uncovered vertices in ascending degree order,
-keep each one whose neighborhood is disjoint from those kept so far.
-Every kept vertex needs a dominator of its own, so more of them than the
-remaining budget means no cover below the node.  A max-gain bound
-(budget times the largest coverage must reach the uncovered count)
-catches the dense cases.  Both bounds only cut subtrees that hold no
-cover; the branching vertex and the candidate order are those of the
-plain search, so every depth finds the same first cover and the
-witnesses do not depend on the bounds.
-
-`gamma_t` first tries the greedy cover over V and stops there when it
-meets the root's lower bound.  Otherwise it splits V into coverer
-classes (`_coverer_classes`): two vertices share a class when they share
-a neighbour, closed under chains.  The classes are the connected
-components, with a bipartite component split into its two sides, each
-covered only from the other.  No vertex covers two classes, so gamma_t
+`_exists_cover` takes the max-gain greedy cover first.  Call its size
+`top`, or size + 1 when it does not fit.  The greedy answer stands once the
+root bound max(2, least, ceil(n / max degree), packing) reaches `top`.
+Otherwise V splits into coverer classes (`_coverer_classes`): two
+vertices share a class when they share a neighbour, closed under chains.
+The classes are the connected components, with a bipartite component
+split into its two sides.  No vertex covers two classes, so the minimum
 is the sum of the per-class minima, and each class deepens
-`_cover_search` from its own bound with `uncovered` set to that class
-(van Rooij & Bodlaender, Discrete Appl. Math. 159, 2011).  Deepening
-stops as soon as the classes solved so far plus the bounds of the rest
-reach the greedy size, since the join can then not beat the greedy
-cover.  The witness is the greedy cover when that is minimum, else the
-join of each class's first cover at that class's minimum.
+`_cover_search` from its own bound (van Rooij & Bodlaender, Discrete
+Appl. Math. 159, 2011).  Deepening stops once the classes solved plus
+the bounds of the rest reach `top`: the join cannot beat the greedy
+answer.  The last class starts at least minus the size of the join so
+far, since below `least` any cover that fits is an answer.
+
+`_cover_search` branches on an uncovered vertex with the fewest
+coverers.  It prunes a node by a packing bound (Henning & Yeo, Total
+Domination in Graphs, 2013): walking the uncovered vertices in ascending
+degree order, keep each one whose neighborhood is disjoint from those
+kept so far; each kept vertex needs a dominator of its own.  A max-gain
+bound (budget times the largest coverage must reach the uncovered count)
+catches the dense cases.  Both bounds cut only subtrees that hold no
+cover, so every depth finds the same first cover.  The witness of
+`gamma_t` is the greedy cover when that is minimum, else the join of
+each class's first cover at that class's minimum.
 """
 
 from __future__ import annotations
@@ -177,53 +177,53 @@ def _coverer_classes(adj: list[int], universe: int) -> list[int]:
     return classes
 
 
+def _exists_cover(adj: list[int], full: int, size: int, least: int | None = None) -> list[int] | None:
+    """A cover of `full` by at most `size` neighborhoods, else None.
+
+    The cover is a minimum one whenever the minimum is at least `least`,
+    which defaults to `size`.
+    """
+    best = _greedy_cover(adj, full, size)
+    top = size + 1 if best is None else len(best)
+    least = size if least is None else least
+    if max(2, least) >= top:
+        return best
+    delta = max(map(int.bit_count, adj))
+    order = _packing_order(adj)
+    if max(-(-full.bit_count() // delta), _packing(order, full, size)) >= top:
+        return best
+    # no vertex covers two classes, so a minimum cover is a minimum cover
+    # of each class side by side; each class deepens from its own bound
+    # until a cover turns up, which it must, unless the classes solved
+    # plus the bounds still to come reach `top`: then the join cannot
+    # beat the greedy cover
+    classes = _coverer_classes(adj, full)
+    bounds = [max(-(-c.bit_count() // delta), _packing(order, c, size)) for c in classes]
+    joined: list[int] = []
+    rest = sum(bounds)
+    for cls, k in zip(classes, bounds):
+        rest -= k
+        if cls == classes[-1]:  # below `least`, any cover that fits will do
+            k = max(k, least - len(joined))
+        while len(joined) + k + rest < top:
+            if (got := _cover_search(adj, order, cls, k, [])) is not None:
+                break
+            k += 1
+        else:
+            return best
+        joined += got
+    return joined
+
+
 def gamma_t(g: Graph) -> DominationCertificate:
     """Certified minimum total dominating set of g.
 
     Raises IsolatedVertexError when no total dominating set exists.
     """
-    if g.n == 0:
-        return DominationCertificate(0, frozenset())
     if g.has_isolated_vertex():
         raise IsolatedVertexError("total domination is undefined with isolated vertices")
-    adj = list(g.adj)
-    full = (1 << g.n) - 1
-    order = _packing_order(adj)
-    best = _greedy_cover(adj, full, g.n)
-    delta = g.max_degree()
-    lb = max(2, -(-g.n // delta), _packing(order, full, g.n))
-    if lb < len(best):
-        # no vertex covers two classes, so a minimum cover is a minimum
-        # cover of each class side by side; each class deepens from its
-        # own bound until a cover turns up, which it must, unless the
-        # classes solved plus the bounds still to come reach the greedy
-        # size: then the join cannot beat the greedy cover
-        classes = _coverer_classes(adj, full)
-        bounds = [max(-(-c.bit_count() // delta), _packing(order, c, g.n)) for c in classes]
-        joined: list[int] = []
-        rest = sum(bounds)
-        for cls, k in zip(classes, bounds):
-            rest -= k
-            while len(joined) + k + rest < len(best):
-                if (got := _cover_search(adj, order, cls, k, [])) is not None:
-                    break
-                k += 1
-            else:
-                break  # keep the greedy cover
-            joined += got
-        else:  # every class solved, and the join is smaller
-            best = joined
+    best = _exists_cover(list(g.adj), (1 << g.n) - 1, g.n, 0)
     return DominationCertificate(len(best), frozenset(best))
-
-
-def _exists_cover(adj: list[int], full: int, size: int) -> list[int] | None:
-    """A cover of `full` by at most `size` neighborhoods, else None."""
-    # greedy shortcut first: covers the common case where deletion did
-    # not raise the domination number
-    got = _greedy_cover(adj, full, size)
-    if got is not None:
-        return got
-    return _cover_search(adj, _packing_order(adj), full, size, [])
 
 
 def exists_total_dominating_set(g: Graph, size: int) -> bool:

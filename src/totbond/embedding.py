@@ -59,7 +59,7 @@ class Embedding:
                 for u in rotation[v]:
                     if not masks[u] >> v & 1:
                         raise EmbeddingError(f"rotation not symmetric on edge ({v}, {u})")
-        graph = Graph(n, tuple(masks))
+        graph = Graph._trusted(n, tuple(masks))
         faces = _trace_faces(rotation)
         return Embedding(graph, rotation, faces)
 

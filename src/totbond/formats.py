@@ -146,7 +146,7 @@ def parse_graph6(record: bytes | str) -> Graph:
             low = col & -col
             masks[low.bit_length() - 1] |= 1 << v
             col ^= low
-    return Graph(n, tuple(masks))
+    return Graph._trusted(n, tuple(masks))
 
 
 def iter_graph6(stream) -> "iter[Graph]":

@@ -42,6 +42,41 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        """Check that adj holds n symmetric masks, without self-loops or
+        bits at or above n."""
+        n, adj = self.n, self.adj
+        if len(adj) != n:
+            raise ValueError(f"{len(adj)} adjacency masks for n={n}")
+        # back[u] collects every v whose mask holds u: the masks are
+        # symmetric exactly when the transposed masks equal them
+        back = [0] * n
+        for v, a in enumerate(adj):
+            if a >> n:
+                raise ValueError(f"vertex {v} has a neighbour out of range for n={n}")
+            if a >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            bit = 1 << v
+            while a:
+                low = a & -a
+                back[low.bit_length() - 1] |= bit
+                a ^= low
+        if list(adj) != back:  # name the first edge whose reverse is missing
+            for v, a in enumerate(adj):
+                for u in _bits(a):
+                    if not adj[u] >> v & 1:
+                        raise ValueError(f"adjacency not symmetric on edge ({v}, {u})")
+
+    @staticmethod
+    def _trusted(n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from masks that are valid by construction.  It skips the
+        checks of a raw `Graph(n, adj)`, one step per mask bit, which the
+        decoders, generators and edits would pay on every graph."""
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build a graph on n vertices from an iterable of vertex pairs."""
@@ -54,7 +89,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return Graph(n, tuple(masks))
+        return Graph._trusted(n, tuple(masks))
 
     # -- basic structure ----------------------------------------------------
 
@@ -102,7 +137,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) not present")
             masks[u] &= ~(1 << v)
             masks[v] &= ~(1 << u)
-        return Graph(self.n, tuple(masks))
+        return Graph._trusted(self.n, tuple(masks))
 
     def relabel(self, perm) -> "Graph":
         """Apply a permutation (perm[old] = new) to the vertex labels."""
@@ -113,11 +148,11 @@ class Graph:
         for u in range(self.n):
             for v in _bits(self.adj[u]):
                 masks[perm[u]] |= 1 << perm[v]
-        return Graph(self.n, tuple(masks))
+        return Graph._trusted(self.n, tuple(masks))
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(
+        return Graph._trusted(
             self.n,
             tuple((full & ~a & ~(1 << v)) for v, a in enumerate(self.adj)),
         )

@@ -137,7 +137,7 @@ def enumerate_graph_classes(
                     continue
                 rows = [parent.adj[u] | ((mask >> u & 1) << k) for u in range(k)]
                 rows.append(mask)
-                child = Graph(k + 1, tuple(rows))
+                child = Graph._trusted(k + 1, tuple(rows))
                 if require_planar and not is_planar(child):
                     continue
                 key = _refine_invariant(child)

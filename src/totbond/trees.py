@@ -86,7 +86,7 @@ def _tree(parent: list[int]) -> Graph:
         p = parent[v]
         masks[v] |= 1 << p
         masks[p] |= 1 << v
-    return Graph(len(parent), tuple(masks))
+    return Graph._trusted(len(parent), tuple(masks))
 
 
 def tree_from_level_sequence(seq) -> Graph:

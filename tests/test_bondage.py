@@ -234,6 +234,11 @@ class TestCapAndBudget:
         with pytest.raises(IsolatedVertexError):
             bondage(Graph.from_edges(3, [(0, 1)]))
 
+    @pytest.mark.parametrize("kwargs", [{"cap": -1}, {"work_budget": -5}])
+    def test_negative_cap_or_budget_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            bondage(cycle(6), **kwargs)
+
 
 CAPS = (None, 0, 1, 2, 3, 4)
 BUDGETS = (None, 1, 2, 3, 5, 10, 30, 100, 1000)

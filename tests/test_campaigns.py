@@ -226,6 +226,10 @@ class TestRunnerMechanics:
         with pytest.raises(ValueError):
             run_campaign("thm-unheard-of", [path(4)])
 
+    def test_campaign_needs_a_job(self):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_campaign("thm-paths", [path(4)], jobs=0)
+
     def test_record_format(self):
         out = evaluate_theorem("thm-paths", path(4))
         line = out.record()
@@ -283,6 +287,15 @@ class TestSearch:
         assert len(hits) == 1
         assert hits[0].theorem == "search-bt"
         assert hits[0].status == "match"
+
+    def test_isolated_vertex_is_no_match(self):
+        # b_t is undefined on K1 and on P2 plus a vertex
+        corpus = [Graph(1, (0,)), Graph.from_edges(3, [(0, 1)]), path(5)]
+        assert search_by_bondage(corpus, 1) == search_by_bondage([path(5)], 1)
+
+    def test_search_needs_a_job(self):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            search_by_bondage([path(4)], 1, jobs=-1)
 
 
 class TestPriorBounds:

@@ -416,6 +416,16 @@ class TestCampaign:
         out = capsys.readouterr().out.splitlines()
         assert len([ln for ln in out if "status=match" in ln]) == 3  # C4, C5, C7
 
+    def test_search_passes_over_isolated_vertices(self, capsys):
+        # trees:1..5 adds K1, whose b_t is undefined: no match, no traceback
+        runs = []
+        for corpus in ("trees:1..5", "trees:2..5"):
+            assert main(["search", "--bt", "1", "--corpus", corpus]) == 0
+            runs.append(capsys.readouterr().out.splitlines())
+        assert runs[0][:-1] == runs[1][:-1]
+        assert len(runs[0]) > 1
+        assert runs[0][-1] == "SUMMARY search=bt target=1 corpus=8 matches=3"
+
 
 class TestCountFlags:
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from totbond.corpus import girth4_corpus, icosahedron_incidence
 from totbond.domination import (
     DominationCertificate,
     _coverer_classes,
+    _exists_cover,
     _packing,
     _packing_order,
     exists_total_dominating_set,
@@ -269,6 +270,64 @@ class TestExistenceQueries:
                 assert _packing(order, (1 << g.n) - 1, g.n) <= want
                 for k in range(g.n + 1):
                     assert exists_total_dominating_set(g, k) == (k >= want), (g, k)
+
+
+def _disjoint_unions():
+    """The 30 seeded unions of `TestAgainstDeepening.test_disjoint_unions`
+    (same seed, same draws), each with its parts."""
+    rng = random.Random(34)
+    pool = [h for h in _replay_graphs() if h.n <= 16]
+    pool += [g for g in girth4_corpus() if g.n <= 14]
+    out = []
+    for _ in range(30):
+        parts = rng.sample(pool, rng.randint(2, 4))
+        edges, n = [], 0
+        for part in parts:
+            edges += [(u + n, v + n) for u, v in part.edges()]
+            n += part.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append((Graph.from_edges(n, edges).relabel(perm), parts))
+    return out
+
+
+class TestExistsCover:
+    """`_exists_cover(adj, full, size, least)` returns a cover by at most
+    `size` neighbourhoods, else None, and a minimum one whenever gamma_t
+    is at least `least`."""
+
+    @staticmethod
+    def _check(g, want):
+        adj, full = list(g.adj), (1 << g.n) - 1
+        for size in (want - 1, want, want + 1):
+            for least in (0, size):
+                got = _exists_cover(adj, full, size, least)
+                if want > size:
+                    assert got is None, (g, size, least)
+                    continue
+                assert got is not None and len(set(got)) == len(got) <= size, (g, size, least)
+                assert is_total_dominating(g, got), (g, size, least)
+                if least == 0 or size == want:
+                    assert len(got) == want, (g, size, least)
+
+    def test_isolate_free_classes_n7(self):
+        for n in range(2, 8):
+            for g in enumerate_graph_classes(n):
+                if not g.has_isolated_vertex():
+                    self._check(g, brute_gamma_t(g))
+
+    def test_disjoint_unions(self):
+        # gamma_t of a union is the sum over its parts
+        brute = {}
+        for h, parts in _disjoint_unions():
+            for p in parts:
+                if p not in brute:
+                    brute[p] = brute_gamma_t(p)
+            self._check(h, sum(brute[p] for p in parts))
+
+    def test_empty_graph(self):
+        assert exists_total_dominating_set(Graph(0, ()), 0)
+        assert _exists_cover([], 0, 0, 0) == []
 
 
 class TestPackingBound:

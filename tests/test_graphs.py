@@ -50,6 +50,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "n, adj, message",
+        [
+            (2, (0b10,), "1 adjacency masks for n=2"),
+            (2, (0b101, 0b01), "vertex 0 has a neighbour out of range for n=2"),
+            (3, (0b010, 0b101, 0b1000), "vertex 2 has a neighbour out of range for n=3"),
+            (2, (0b11, 0b01), "self-loop at vertex 0"),
+            (3, (0b010, 0b001, 0b001), "adjacency not symmetric on edge (2, 0)"),
+        ],
+        ids=["too-few-masks", "bit-at-n", "bit-above-n", "own-bit", "asymmetric"],
+    )
+    def test_raw_masks_checked(self, n, adj, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, adj)
+        assert str(exc.value) == message
+
     def test_edge_key_orders(self):
         assert edge_key(5, 2) == (2, 5)
 
