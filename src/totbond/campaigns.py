@@ -99,7 +99,9 @@ def _is_tree(g: Graph) -> bool:
 
 
 def _is_star(g: Graph) -> bool:
-    return _is_tree(g) and g.n >= 2 and g.max_degree() == g.n - 1
+    # a vertex adjacent to all others connects the graph, and n - 1
+    # edges leave no other edge, so no connectivity search is needed
+    return g.n >= 2 and g.m == g.n - 1 and g.max_degree() == g.n - 1
 
 
 def _is_path_graph(g: Graph) -> bool:
@@ -226,7 +228,7 @@ class Theorem(NamedTuple):
 # wrappers installed on them (bench/tracing.py) see every call.
 _CONNECTED = Hypothesis("not-connected", lambda g: g.is_connected())
 _MIN_DEGREE_3 = Hypothesis("min-degree-below-3", lambda g: g.min_degree() >= 3)
-_GIRTH_4 = Hypothesis("girth-below-4", lambda g: g.girth() >= 4)
+_GIRTH_4 = Hypothesis("girth-below-4", lambda g: not g.has_triangle())
 _PLANAR = Hypothesis("not-planar", lambda g: planar.is_planar(g))
 _TREE = Hypothesis("not-a-tree", _is_tree)
 _NO_ISOLATED = Hypothesis("has-isolated-vertex", lambda g: not g.has_isolated_vertex())

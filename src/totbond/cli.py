@@ -37,11 +37,13 @@ from .witnesses import (
 )
 
 _RANGE = re.compile(r"^(paths|cycles|trees):(\d+)\.\.(\d+)$")
-# the members of order n of each range kind
+# the members of order n of each range kind; each looks its function up at
+# call time, so a wrapper installed on the module name (bench/tracing.py)
+# sees every call
 _RANGE_MEMBERS = {
     "paths": lambda n: [path(n)],
     "cycles": lambda n: [cycle(n)],
-    "trees": enumerate_trees,
+    "trees": lambda n: enumerate_trees(n),
 }
 
 _BUDGET_HELP = (

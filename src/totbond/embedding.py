@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, asymmetric_edge
 
 
 class EmbeddingError(ValueError):
@@ -38,9 +38,7 @@ class Embedding:
         rotation = tuple(tuple(r) for r in rotation)
         n = len(rotation)
         masks = [0] * n
-        # back[u] collects every v whose rotation lists u: the lists are
-        # symmetric exactly when the transposed masks equal the masks
-        back = [0] * n
+        back = [0] * n  # the transposed masks
         for v, order in enumerate(rotation):
             seen = 0
             bit = 1 << v
@@ -54,11 +52,9 @@ class Embedding:
                 seen |= 1 << u
                 back[u] |= bit
             masks[v] = seen
-        if masks != back:  # name the first dart whose reverse is missing
-            for v in range(n):
-                for u in rotation[v]:
-                    if not masks[u] >> v & 1:
-                        raise EmbeddingError(f"rotation not symmetric on edge ({v}, {u})")
+        edge = asymmetric_edge(masks, back)
+        if edge is not None:
+            raise EmbeddingError(f"rotation not symmetric on edge {edge}")
         graph = Graph._trusted(n, tuple(masks))
         faces = _trace_faces(rotation)
         return Embedding(graph, rotation, faces)

@@ -11,6 +11,7 @@ and ``girth`` returns ``math.inf`` for acyclic graphs.  Neither is an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
 Edge = tuple[int, int]
@@ -35,6 +36,23 @@ def _bits(mask: int):
         mask ^= low
 
 
+def asymmetric_edge(masks, back: list[int]) -> Edge | None:
+    """The first (v, u), by v and then u, with u in masks[v] but v not in
+    masks[u]; None when the masks are symmetric.
+
+    back is the transpose of masks (back[u] holds v exactly when masks[v]
+    holds u), which callers collect in the pass that checks each entry.
+    The masks are symmetric exactly when they equal it.
+    """
+    if list(masks) == back:
+        return None
+    for v, a in enumerate(masks):
+        missing = a & ~back[v]
+        if missing:
+            return (v, (missing & -missing).bit_length() - 1)
+    return None
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1."""
@@ -48,8 +66,6 @@ class Graph:
         n, adj = self.n, self.adj
         if len(adj) != n:
             raise ValueError(f"{len(adj)} adjacency masks for n={n}")
-        # back[u] collects every v whose mask holds u: the masks are
-        # symmetric exactly when the transposed masks equal them
         back = [0] * n
         for v, a in enumerate(adj):
             if a >> n:
@@ -61,11 +77,9 @@ class Graph:
                 low = a & -a
                 back[low.bit_length() - 1] |= bit
                 a ^= low
-        if list(adj) != back:  # name the first edge whose reverse is missing
-            for v, a in enumerate(adj):
-                for u in _bits(a):
-                    if not adj[u] >> v & 1:
-                        raise ValueError(f"adjacency not symmetric on edge ({v}, {u})")
+        edge = asymmetric_edge(adj, back)
+        if edge is not None:
+            raise ValueError(f"adjacency not symmetric on edge {edge}")
 
     @staticmethod
     def _trusted(n: int, adj: tuple[int, ...]) -> "Graph":
@@ -93,8 +107,9 @@ class Graph:
 
     # -- basic structure ----------------------------------------------------
 
-    @property
+    @cached_property
     def m(self) -> int:
+        """Edge count, summed once per graph: campaigns ask it several times."""
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> tuple[Edge, ...]:
@@ -233,6 +248,17 @@ class Graph:
             if best == 3:
                 break
         return best
+
+    def has_triangle(self) -> bool:
+        """Whether some edge uv has a common neighbour, that is, whether the
+        girth is 3; one mask intersection per edge."""
+        adj = self.adj
+        for u, a in enumerate(adj):
+            higher = a >> (u + 1) << (u + 1)
+            for v in _bits(higher):
+                if a & adj[v]:
+                    return True
+        return False
 
     # -- degree-structure queries --------------------------------------------
 

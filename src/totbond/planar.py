@@ -484,7 +484,7 @@ def discharge_audit(emb: Embedding) -> ChargeLedger:
     g = emb.graph
     if g.min_degree() < 3:
         raise ValueError("discharging rule requires minimum degree 3")
-    if g.girth() < 4:
+    if g.has_triangle():
         raise ValueError("discharging rule requires girth at least 4")
     moves = [(u, v) for v in range(g.n) if g.degree(v) == 3 for u in g.neighbors(v)]
     return _ledger(emb, moves)

@@ -11,10 +11,12 @@ tree the lex-largest, which the generator visits first, is rooted at a
 peripheral vertex: a leaf, with height equal to the diameter.
 `enumerate_trees` therefore walks only the sequences with a leaf root
 (one 2), in the generator's own order, drops every one whose diameter
-exceeds its height, and keys the survivors by their canonical form at the
-centre.  Each dropped sequence is a later rooting of a tree already
-seen, so the same sequences come out, in the same order and with the same
-vertex labels, as when every rooted tree is canonized.  (Wright,
+exceeds its height, and keys the survivors at the centre of their first
+branch, which is a diametral path: one bottom-up pass over the parent
+array, with no adjacency lists and no recursion (`_centre_key`).  Each
+dropped sequence is a later rooting of a tree already seen, so the same
+sequences come out, in the same order and with the same vertex labels,
+as when every rooted tree is canonized.  (Wright,
 Richmond, Odlyzko & McKay, SIAM J. Comput. 15(2), 1986, generate free
 trees with no key at all, but in another order and labelling.)  The
 count of sequences walked still grows about 3x per vertex, so the order
@@ -94,16 +96,6 @@ def tree_from_level_sequence(seq) -> Graph:
     return _tree(_parents(seq))
 
 
-def _ahu_code(adj: list[list[int]], root: int) -> str:
-    """Canonical parenthesis string of the tree rooted at root."""
-
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(u, v) for u in adj[v] if u != parent)
-        return "(" + "".join(subs) + ")"
-
-    return code(root, -1)
-
-
 def _diameter_at_most(parent: list[int], h: int) -> bool:
     """Whether no path in the tree is longer than h edges.
 
@@ -120,6 +112,33 @@ def _diameter_at_most(parent: list[int], h: int) -> bool:
         if down > below[p]:
             below[p] = down
     return True
+
+
+def _centre_key(parent: list[int], h: int) -> str:
+    """Canonical key of a leaf-rooted tree whose diameter is its height h.
+
+    The first branch 0, 1, ..., h is a diametral path, so its middle
+    vertex c = h // 2 is the centre, and c + 1 the second centre when h
+    is odd.  Reverse preorder gives every vertex off the path 0..c its
+    parenthesis code (Aho, Hopcroft & Ullman): its sorted child codes in
+    one pair of brackets.  The walk up the path then re-roots 1..c
+    toward c, with the root 0 as a leaf.  Two centres split the tree at
+    their edge into two halves, and the key is the sorted pair of them.
+    """
+    c = h // 2
+    kids: list[list[str]] = [[] for _ in parent]
+    top = ""
+    for v in range(len(parent) - 1, c, -1):
+        code = "(" + "".join(sorted(kids[v])) + ")"
+        if v == c + 1 and h & 1:
+            top = code
+        else:
+            kids[parent[v]].append(code)
+    code = "()"
+    for v in range(1, c + 1):
+        kids[v].append(code)
+        code = "(" + "".join(sorted(kids[v])) + ")"
+    return "".join(sorted((code, top)))  # top is empty when h is even
 
 
 def check_tree_order(n: int) -> None:
@@ -148,12 +167,7 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
         h = max(rest)
         if not _diameter_at_most(parent, h):
             continue
-        adj: list[list[int]] = [[] for _ in parent]
-        for v in range(1, n):
-            adj[v].append(parent[v])
-            adj[parent[v]].append(v)
-        # the centre or centres of a diametral path 0..h
-        key = min(_ahu_code(adj, c) for c in {h // 2, (h + 1) // 2})
+        key = _centre_key(parent, h)
         if key not in seen:
             seen.add(key)
             yield _tree(parent)

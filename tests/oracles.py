@@ -354,12 +354,21 @@ def tree_centers(adj: list[list[int]]) -> list[int]:
     return sorted(layer)
 
 
+def ahu_code(adj: list[list[int]], root: int) -> str:
+    """Canonical parenthesis string of the tree rooted at root (Aho,
+    Hopcroft & Ullman), by plain recursion over adjacency lists."""
+
+    def code(v: int, parent: int) -> str:
+        subs = sorted(code(u, v) for u in adj[v] if u != parent)
+        return "(" + "".join(subs) + ")"
+
+    return code(root, -1)
+
+
 def free_canonical_form(g: Graph) -> str:
     """Canonical string identifying g up to isomorphism (trees only)."""
-    from totbond.trees import _ahu_code
-
     adj = [list(g.neighbors(v)) for v in range(g.n)]
-    return min(_ahu_code(adj, c) for c in tree_centers(adj))
+    return min(ahu_code(adj, c) for c in tree_centers(adj))
 
 
 def canonized_trees(n: int) -> Iterator[Graph]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totbond.families import complete, complete_bipartite, cycle, path
-from totbond.graphs import Graph, IsolatedVertexError, edge_key
+from totbond.graphs import Graph, IsolatedVertexError, asymmetric_edge, edge_key
 
 from oracles import brute_girth, tree_bfs_girth
 
@@ -143,6 +143,23 @@ class TestQueries:
         assert cycle(5).girth() == 5
         assert complete(4).girth() == 3
         assert complete_bipartite(2, 3).girth() == 4
+
+    def test_triangle_test_agrees_with_girth(self):
+        from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus
+        from totbond.smallgraphs import enumerate_graph_classes
+
+        graphs = [g for n in range(1, 8) for g in enumerate_graph_classes(n)
+                  if not g.has_isolated_vertex()]
+        graphs += list(girth4_corpus()) + list(planar_min3_corpus()) + [icosahedron_incidence()]
+        triangles = [g.has_triangle() for g in graphs]
+        assert triangles == [g.girth() < 4 for g in graphs]
+        assert any(triangles) and not all(triangles)
+
+    def test_asymmetric_edge_names_the_first_by_v_then_u(self):
+        masks = [0b110, 0b000, 0b000]  # 0 lists 1 and 2; neither lists 0
+        assert asymmetric_edge(masks, [0b000, 0b001, 0b001]) == (0, 1)
+        sym = path(4).adj
+        assert asymmetric_edge(sym, list(sym)) is None
 
     def test_support_vertices(self):
         g = path(4)

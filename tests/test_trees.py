@@ -14,7 +14,15 @@ import pytest
 from oracles import canonized_trees, free_canonical_form, otter_counts, prufer_tree, tree_centers
 from totbond.formats import graph6_bytes
 from totbond.graphs import Graph
-from totbond.trees import enumerate_trees, rooted_level_sequences, tree_from_level_sequence
+from totbond.trees import (
+    _centre_key,
+    _diameter_at_most,
+    _parents,
+    _tree,
+    enumerate_trees,
+    rooted_level_sequences,
+    tree_from_level_sequence,
+)
 
 FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # n = 1..12
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
@@ -101,8 +109,50 @@ def _diameter(g: Graph) -> int:
     return max(g.distance(u, v) for u in range(g.n) for v in range(u + 1, g.n))
 
 
+def _diameter_tall_sequences(n: int):
+    """(parent, h) of every leaf-rooted sequence the walk keys, for n >= 3."""
+    for rest in rooted_level_sequences(n - 1):
+        parent = _parents([1] + [x + 1 for x in rest])
+        h = max(rest)
+        if _diameter_at_most(parent, h):
+            yield parent, h
+
+
+class TestCentreKey:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_equal_exactly_when_free_forms_are_equal(self, n):
+        pairs = {
+            (_centre_key(parent, h), free_canonical_form(_tree(parent)))
+            for parent, h in _diameter_tall_sequences(n)
+        }
+        keys = {key for key, _ in pairs}
+        forms = {form for _, form in pairs}
+        assert len(keys) == len(forms) == len(pairs) == FREE_COUNTS[n - 1]
+
+    def test_some_trees_have_several_sequences(self):
+        walked = sum(1 for _ in _diameter_tall_sequences(9))
+        assert walked > FREE_COUNTS[8]
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_even_path_has_two_equal_halves(self, k):
+        """P_2k is bicentral, and each half is a path on k vertices."""
+        half = "()"
+        for _ in range(k - 1):
+            half = "(" + half + ")"
+        parent = _parents(range(1, 2 * k + 1))
+        assert _centre_key(parent, 2 * k - 1) == half + half
+
+    def test_bicentral_key_is_the_sorted_pair_of_halves(self):
+        """A double star whose centres carry one and two leaves, rooted at
+        a leaf on either side of its central edge."""
+        one_leaf, two_leaves = "(())", "(()())"
+        want = min(one_leaf, two_leaves) + max(one_leaf, two_leaves)
+        assert _centre_key(_parents((1, 2, 3, 4, 4)), 3) == want
+        assert _centre_key(_parents((1, 2, 3, 4, 3)), 3) == want
+
+
 class TestLeafRootedWalk:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 15))
     def test_same_graphs_in_same_order_as_reference(self, n):
         want = [graph6_bytes(t) for t in canonized_trees(n)]
         assert [graph6_bytes(t) for t in enumerate_trees(n)] == want
