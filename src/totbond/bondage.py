@@ -36,9 +36,10 @@ mask under the node's U, computed once per node when first needed.
 Deleting edges takes no kill edge away (a vertex with one D-edge keeps
 it, or D dies), so the child's mask for D is the node's mask plus the
 kill edges that u and v gain; D is passed over when it loses every
-D-neighbour of u or of v.  When these masks share no edge below (u, v)
-the child is skipped as its last-edge step would skip it, and only the
-other children are visited.
+D-neighbour of u or of v.  The edges below (u, v) that all these masks
+share are the child's last edges to try: when there are none the child
+is skipped, and a visited child's last-edge step starts from them.
+Level 1 has no parent node and takes its mask from gamma_t's witness.
 
 A skipped block holds no bondage set and a tried edge is the only kind
 that can finish one, so the walk meets bondage sets in the order the
@@ -248,18 +249,22 @@ class _Sweep:
         Raises _OutOfBudget when the budget ends before that set, or
         before the level's end when it holds none.
         """
-        return self._visit(k, len(self.edges), self.pool)
+        # level 1 has no parent to rule for it; only gamma_t's witness D is
+        # pooled yet, and D less any vertex x is no TDS, so some vertex has
+        # x as its one D-neighbour and the mask is never 0
+        rest = self._kills(self.pool[0]) if k == 1 else 0
+        return self._visit(k, len(self.edges), self.pool, rest)
 
     def stats(self) -> BondageStats:
         return BondageStats(self.examined, self.exact_calls, self.skipped)
 
-    def _visit(self, j: int, hi: int, alive: list[int]) -> frozenset[Edge] | None:
+    def _visit(self, j: int, hi: int, alive: list[int], rest: int) -> frozenset[Edge] | None:
+        # `rest` is the last-edge mask when j == 1.  `alive` is never empty:
+        # U is isolate-free and smaller than the level, so the sweep of size
+        # |U| left a pooled set alive in U (a tried last edge pools its cover;
+        # an untried edge or a skipped block leaves one alive)
         self.stack.append(alive)
-        if not alive:
-            # every smaller size was swept, so the isolate-free G - U is no
-            # bondage set and has a TDS of size gamma_t
-            self._add(self._solve())
-        found = self._last_edge(hi, alive) if j == 1 else self._inner(j, hi, alive)
+        found = self._last_edge(hi, rest) if j == 1 else self._inner(j, hi, alive)
         self.stack.pop()
         return found
 
@@ -273,16 +278,19 @@ class _Sweep:
             if deg[u] == 1 or deg[v] == 1:  # every subset below isolates u or v
                 self._skip(comb(top, j - 1))
                 continue
-            if j == 2 and self._no_last_edge(top, alive, masks):
-                self._skip(top)
-                continue
+            rest = 0  # the child's last-edge mask, when j == 2
+            if j == 2:
+                rest = self._last_edge_mask(top, alive, masks)
+                if not rest:
+                    self._skip(top)
+                    continue
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
             deg[u] -= 1
             deg[v] -= 1
             au, av = adj[u], adj[v]
             self.chosen.append(top)
-            found = self._visit(j - 1, top, [d for d in alive if au & d and av & d])
+            found = self._visit(j - 1, top, [d for d in alive if au & d and av & d], rest)
             self.chosen.pop()
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
@@ -313,14 +321,13 @@ class _Sweep:
                 out |= ebit[v * n + r.bit_length() - 1]
         return out
 
-    def _no_last_edge(self, top: int, alive: list[int], masks: dict[int, int]) -> bool:
-        """Whether the child that deletes edge `top` would find no last edge
-        below it: `_last_edge`'s ruling made from this node's kill masks.
+    def _last_edge_mask(self, top: int, alive: list[int], masks: dict[int, int]) -> int:
+        """The edges below `top` that kill every pooled set surviving the
+        child that deletes edge `top`, made from this node's kill masks.
 
         Deleting edges takes no kill edge away, so a pooled set that
         survives the child has this node's mask plus the kill edges that
-        the ends of `top` gain.  A child where no pooled set survives is
-        left to the exact solver.
+        the ends of `top` gain.  0 means the child tries no last edge.
         """
         n, ebit = self.n, self.ebit
         u, v = self.edges[top]
@@ -341,16 +348,12 @@ class _Sweep:
                 kills |= ebit[v * n + rv.bit_length() - 1]
             rest &= kills
             if not rest:
-                return True
-        return False
+                break
+        return rest
 
-    def _last_edge(self, hi: int, alive: list[int]) -> frozenset[Edge] | None:
-        # only an edge that kills every surviving TDS can finish a bondage set
-        rest = (1 << hi) - 1
-        for d in alive:
-            rest &= self._kills(d)
-            if not rest:
-                return self._skip(hi)
+    def _last_edge(self, hi: int, rest: int) -> frozenset[Edge] | None:
+        # only an edge in `rest`, the edges below hi that kill every
+        # surviving TDS, can finish a bondage set
         adj, deg, edges = self.adj, self.deg, self.edges
         base = self.examined
         while rest:

@@ -376,6 +376,8 @@ def search_by_bondage(
     corpus, k: int, work_budget: int | None = None, jobs: int = 1
 ) -> list[GraphOutcome]:
     """Graphs in the corpus whose total bondage number is exactly k."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     rows = _map(partial(_search_one, k=k, work_budget=work_budget), list(corpus), jobs)
     return [r for r in rows if r is not None]
 

@@ -428,7 +428,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_bounds)
 
     args = parser.parse_args(argv)
-    for flag, least in (("cap", 0), ("work_budget", 0), ("jobs", 1)):
+    counts = (("cap", 0), ("work_budget", 0), ("bt", 0), ("max_edges", 0), ("jobs", 1))
+    for flag, least in counts:
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise SystemExit(f"--{flag.replace('_', '-')}: must be at least {least}, got {value}")

@@ -146,30 +146,13 @@ def girth4_corpus() -> list[Graph]:
     """Connected planar graphs with min degree 3 and girth 4: 513 of them.
 
     Fixed parameter sweeps over the cylinder constructions, plus the
-    cube and the icosahedron incidence graph.
+    icosahedron incidence graph.  The cube is cylinder(4, 2).
     """
-    out: list[Graph] = []
-    seen: set = set()
-
-    def add(g: Graph) -> None:
-        key = (g.n, g.edges())
-        if key not in seen:  # cylinder(4, 2) is the cube, etc.
-            seen.add(key)
-            out.append(g)
-
-    for k in range(4, 34):
-        for layers in range(2, 12):
-            add(cylinder(k, layers))
-    for k in range(6, 34, 2):
-        for layers in range(2, 10):
-            add(capped_cylinder(k, layers))
-    for k in range(6, 34, 2):
-        for layers in range(2, 7):
-            add(double_capped_cylinder(k, layers))
-    for k in range(6, 66, 2):
-        add(pseudo_double_wheel(k))
-    add(cube())
-    add(icosahedron_incidence())
+    out = [cylinder(k, layers) for k in range(4, 34) for layers in range(2, 12)]
+    out += [capped_cylinder(k, layers) for k in range(6, 34, 2) for layers in range(2, 10)]
+    out += [double_capped_cylinder(k, layers) for k in range(6, 34, 2) for layers in range(2, 7)]
+    out += [pseudo_double_wheel(k) for k in range(6, 66, 2)]
+    out.append(icosahedron_incidence())
     return out
 
 

@@ -111,8 +111,8 @@ def _cover_search(
     """Find <= budget vertices whose neighborhoods cover `uncovered`, else None."""
     if not uncovered:
         return list(chosen)
-    if budget == 0:
-        return None
+    # budget >= 1: a budget-1 node passes the max-gain test only when one
+    # vertex covers `uncovered`, and it sorts first, so its child is a cover
     if _packing(order, uncovered, budget) > budget:
         return None
     max_gain = 0
@@ -190,6 +190,7 @@ def _exists_cover(adj: list[int], full: int, size: int, least: int | None = None
         return best
     delta = max(map(int.bit_count, adj))
     order = _packing_order(adj)
+    # implied by the class bounds below, but it spares most small solves the split
     if max(-(-full.bit_count() // delta), _packing(order, full, size)) >= top:
         return best
     # no vertex covers two classes, so a minimum cover is a minimum cover

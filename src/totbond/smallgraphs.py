@@ -119,6 +119,8 @@ def enumerate_graph_classes(
     """
     if n < 1 or n > MAX_CLASS_ORDER:
         raise ValueError(f"class enumeration capped at n = {MAX_CLASS_ORDER}")
+    if max_edges is not None and max_edges < 0:
+        raise ValueError(f"max_edges must be nonnegative, got {max_edges}")
     if require_planar:
         from .planar import is_planar
     reps = [Graph(1, (0,))]

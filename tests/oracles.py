@@ -168,7 +168,8 @@ def walk_bondage(g: Graph, cap: int | None = None, work_budget: int | None = Non
     """Total bondage by the depth-first walk that `totbond.bondage` replaced.
 
     Every child of a node is visited, each last-edge step computes its
-    kill masks afresh, and finiteness always runs the blossom matching.
+    kill masks afresh, a node where no pooled set survives runs the exact
+    solver first, and finiteness always runs the blossom matching.
     `totbond.bondage.bondage` must return an equal certificate with equal
     `BondageStats` for every (graph, cap, work_budget).
     """
@@ -184,6 +185,17 @@ def walk_bondage(g: Graph, cap: int | None = None, work_budget: int | None = Non
     from totbond.domination import gamma_t
 
     class Walk(_Sweep):
+        def level(self, k):
+            return self._visit(k, len(self.edges), self.pool)
+
+        def _visit(self, j, hi, alive):
+            self.stack.append(alive)
+            if not alive:
+                self._add(self._solve())
+            found = self._last_edge(hi, alive) if j == 1 else self._inner(j, hi, alive)
+            self.stack.pop()
+            return found
+
         def _inner(self, j, hi, alive):
             if not all(self._killable(d, j, hi) for d in alive):
                 return self._skip(math.comb(hi, j))

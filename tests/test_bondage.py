@@ -356,24 +356,24 @@ class TestBudgetBoundaries:
         blocks = []
         prechecked = []
         real_skip = _Sweep._skip
-        real_check = _Sweep._no_last_edge
+        real_mask = _Sweep._last_edge_mask
 
         def record(sweep, size):
             blocks.append((sweep.examined, size))
             return real_skip(sweep, size)
 
-        def record_check(sweep, top, alive, masks):
-            ruled_out = real_check(sweep, top, alive, masks)
-            if ruled_out:
+        def record_mask(sweep, top, alive, masks):
+            rest = real_mask(sweep, top, alive, masks)
+            if not rest:
                 prechecked.append((sweep.examined, top))
-            return ruled_out
+            return rest
 
         for g, want in ((cycle(6), 0), (complete_bipartite(3, 3), 4), (cube(), 122)):
             blocks.clear()
             prechecked.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(_Sweep, "_skip", record)
-                mp.setattr(_Sweep, "_no_last_edge", record_check)
+                mp.setattr(_Sweep, "_last_edge_mask", record_mask)
                 bondage(g)
             inside = sorted({start + (size + 1) // 2 for start, size in blocks if size >= 2})
             assert inside, g.edges()

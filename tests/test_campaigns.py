@@ -293,6 +293,11 @@ class TestSearch:
         corpus = [Graph(1, (0,)), Graph.from_edges(3, [(0, 1)]), path(5)]
         assert search_by_bondage(corpus, 1) == search_by_bondage([path(5)], 1)
 
+    def test_negative_target_rejected(self):
+        # a corpus of graphs with isolated vertices would otherwise give []
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            search_by_bondage([Graph(1, (0,))], -1)
+
     def test_search_needs_a_job(self):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             search_by_bondage([path(4)], 1, jobs=-1)

@@ -342,6 +342,17 @@ class TestDischarge:
         assert "DISCHARGE" in out
         assert "total_initial=-8" in out
 
+    def test_nonplanar_gets_error_record(self, capsys, graph_file):
+        from totbond.families import complete
+
+        k5 = graph_file(complete(5))
+        assert main(["discharge", k5]) == 0
+        assert main(["detect", k5, "--rules", "borodin"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"DISCHARGE graph={g6(complete(5))} error=not-planar",
+            f"DETECT rule=borodin graph={g6(complete(5))} error=not-planar",
+        ]
+
     def test_full_rows(self, capsys, graph_file):
         from totbond.corpus import cube
 
@@ -439,6 +450,9 @@ class TestCountFlags:
             (["campaign", "--theorem", "thm-paths", "--corpus", "paths:4..8", "--jobs", "0"],
              "--jobs"),
             (["search", "--bt", "2", "--corpus", "cycles:4..7", "--jobs", "-2"], "--jobs"),
+            (["search", "--bt", "-1", "--corpus", "paths:2..5"], "--bt"),
+            (["gen", "--classes", "1", "--max-edges", "-1"], "--max-edges"),
+            (["gen", "--classes", "3", "--max-edges", "-1"], "--max-edges"),
         ],
     )
     def test_negative_budget_cap_or_no_jobs_exits_with_one_line(

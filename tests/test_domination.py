@@ -356,6 +356,10 @@ class TestIsolatedVertices:
         with pytest.raises(IsolatedVertexError):
             gamma_t(Graph.from_edges(1, []))
 
+    def test_existence_query_rejects_isolates(self):
+        with pytest.raises(IsolatedVertexError):
+            exists_total_dominating_set(Graph.from_edges(3, [(0, 1)]), 3)
+
     def test_membership_check_rejects_isolates(self):
         g = Graph.from_edges(4, [(0, 1)])
         with pytest.raises(IsolatedVertexError):

@@ -21,6 +21,7 @@ from totbond.embedding import Embedding
 from totbond.families import complete, complete_bipartite, cycle, path
 from totbond.formats import (
     GRAPH6_HEADER,
+    PLANAR_CODE_HEADER,
     FormatError,
     edges_text,
     graph6_bytes,
@@ -273,13 +274,30 @@ class TestPlanarCode:
             list(iter_planar_code(io.BytesIO(b"\x04...")))
 
     def test_euler_enforced(self):
-        emb = self.cube_embedding()
-        blob = planar_code_bytes([emb])
-        # corrupt one neighbor entry to break the rotation system
-        mutated = bytearray(blob)
-        mutated[-2] = mutated[-3]  # duplicate a neighbor id
-        with pytest.raises(FormatError):
-            list(iter_planar_code(io.BytesIO(bytes(mutated))))
+        # K5 with each rotation in vertex order: connected, consistent, genus >= 1
+        rotation = [tuple(u for u in range(5) if u != v) for v in range(5)]
+        blob = planar_code_bytes([Embedding.from_rotation(rotation)])
+        with pytest.raises(FormatError, match="Euler characteristic -?[0-9]+, not 2") as err:
+            list(iter_planar_code(io.BytesIO(blob)))
+        assert err.value.offset == len(PLANAR_CODE_HEADER)
+
+    @pytest.mark.parametrize(
+        "record, message, offset",
+        [
+            (b"\x00", "record with zero vertices", 0),
+            (b"\x02\x02\x00\x01", "truncated planar_code record", 4),
+            (b"\x02\x03\x00", "neighbor 3 exceeds n=2", 1),
+            (b"\x02\x02\x02\x00\x01\x00", "inconsistent rotation system: repeated", 0),
+            # two disjoint edges
+            (b"\x04\x02\x00\x01\x00\x04\x00\x03\x00", "record is disconnected", 0),
+        ],
+    )
+    def test_bad_record(self, record, message, offset):
+        # a good record first: each error names its own record's offset
+        good = planar_code_bytes([self.cube_embedding()])
+        with pytest.raises(FormatError, match=message) as err:
+            list(iter_planar_code(io.BytesIO(good + record)))
+        assert err.value.offset == len(good) + offset
 
 
 class TestDispatch:

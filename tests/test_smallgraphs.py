@@ -112,6 +112,11 @@ class TestClassEnumeration:
         for g in enumerate_graph_classes(5, max_edges=4):
             assert len(g.edges()) <= 4
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_negative_max_edges_rejected(self, n):
+        with pytest.raises(ValueError, match="max_edges must be nonnegative"):
+            enumerate_graph_classes(n, max_edges=-1)
+
 
 class TestIsomorphism:
     @settings(max_examples=150, deadline=None)

@@ -50,6 +50,19 @@ class TestLevelSequences:
         assert sorted(g.degrees()) == [1, 1, 1, 2, 3]
         assert set(g.neighbors(1)) == {0, 2, 3}
 
+    @pytest.mark.parametrize(
+        "seq, message",
+        [
+            ((), "must start at level 1"),
+            ((2, 3), "must start at level 1"),
+            ((1, 3), "level 3 at position 1 breaks preorder"),
+            ((1, 2, 1), "level 1 at position 2 breaks preorder"),
+        ],
+    )
+    def test_bad_sequence(self, seq, message):
+        with pytest.raises(ValueError, match=message):
+            tree_from_level_sequence(seq)
+
 
 class TestCenters:
     def test_path_even(self):
