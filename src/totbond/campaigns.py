@@ -245,6 +245,24 @@ def _no_light_edge(g: Graph) -> bool:
     return all(deg[u] + deg[v] >= 8 for u, v in g.edges())
 
 
+class TreeBound(NamedTuple):
+    """A published upper bound on b_t of trees; a campaign tag and a
+    `verify_prior_bounds` row both judge it."""
+
+    hypotheses: tuple[Hypothesis, ...]
+    bound: Callable[[Graph], int]
+
+    def theorem(self) -> Theorem:
+        return Theorem(self.hypotheses, partial(_upper_bound, bound=self.bound))
+
+
+_TREE_RAD = TreeBound((_TREE, _MAX_DEGREE_3, _NOT_STAR), lambda g: g.max_degree() - 1)
+# K1 is the one tree whose b_t is undefined
+_TREE_SRIDHARAN = TreeBound(
+    (_TREE, _NO_ISOLATED, _NOT_STAR), lambda g: min(g.max_degree(), (g.n - 1) // 3)
+)
+
+
 # A judge checks an upper bound on b_t or an exact value of b_t, or runs
 # a configuration detector.
 THEOREMS: dict[str, Theorem] = {
@@ -278,15 +296,8 @@ THEOREMS: dict[str, Theorem] = {
             extra=lambda g: (("construction_size", 2 * g.n - 2 * _multipartite_parts(g)[0] - 2),),
         ),
     ),
-    "thm-tree-rad": Theorem(
-        (_TREE, _MAX_DEGREE_3, _NOT_STAR),
-        partial(_upper_bound, bound=lambda g: g.max_degree() - 1),
-    ),
-    "thm-tree-sridharan": Theorem(
-        # K1 is the one tree whose b_t is undefined
-        (_TREE, _NO_ISOLATED, _NOT_STAR),
-        partial(_upper_bound, bound=lambda g: min(g.max_degree(), (g.n - 1) // 3)),
-    ),
+    "thm-tree-rad": _TREE_RAD.theorem(),
+    "thm-tree-sridharan": _TREE_SRIDHARAN.theorem(),
     "thm-tree-n23": Theorem(
         (
             _TREE,
@@ -435,13 +446,7 @@ def verify_prior_bounds(g: Graph, work_budget: int | None = None) -> tuple[Bound
                 tri_deg2 = True
     add("order-triangle-support", tri_support, g.n - 2)
     add("order-triangle-deg2", tri_deg2, g.n - 1)
-    tree = _is_tree(g)
-    nonstar_tree = tree and not _is_star(g)
-    add(
-        "tree-sridharan",
-        nonstar_tree,
-        min(g.max_degree(), (g.n - 1) // 3) if nonstar_tree else None,
-    )
-    rad_ok = nonstar_tree and g.max_degree() >= 3
-    add("tree-rad", rad_ok, g.max_degree() - 1 if rad_ok else None)
+    for name, (hypotheses, bound) in (("tree-sridharan", _TREE_SRIDHARAN), ("tree-rad", _TREE_RAD)):
+        applies = all(holds(g) for _, holds in hypotheses)
+        add(name, applies, bound(g) if applies else None)
     return tuple(checks)

@@ -111,6 +111,14 @@ def _load_inputs(path: str) -> list[Graph]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    filters = (
+        ("--triangle-free", args.triangle_free),
+        ("--planar", args.planar),
+        ("--max-edges", args.max_edges is not None),
+    )
+    for flag, given in filters:
+        if given and args.classes is None:
+            raise SystemExit(f"{flag}: filters only --classes")
     graphs: list[Graph] = []
     if args.family:
         try:
@@ -372,9 +380,9 @@ def main(argv=None) -> int:
     p.add_argument("--family", help="family spec like path:7 or complete-bipartite:2,3")
     p.add_argument("--trees", type=int, help="all free trees on N vertices")
     p.add_argument("--classes", type=int, help="all isomorphism classes on N vertices")
-    p.add_argument("--triangle-free", action="store_true")
-    p.add_argument("--planar", action="store_true")
-    p.add_argument("--max-edges", type=int)
+    p.add_argument("--triangle-free", action="store_true", help="with --classes: no triangle")
+    p.add_argument("--planar", action="store_true", help="with --classes: planar only")
+    p.add_argument("--max-edges", type=int, help="with --classes: at most N edges")
     p.add_argument("--corpus", help="girth4 | planar-min3 | paths:A..B | cycles:A..B | trees:A..B | file")
     p.set_defaults(func=_cmd_gen)
 

@@ -79,14 +79,15 @@ def subdivided_star(leg_subdivisions) -> Graph:
     return Graph.from_edges(nxt, edges)
 
 
+# tag: (parameter count, None for any; builder over the parameters)
 _BUILDERS = {
-    "path": lambda p: path(int(p[0])),
-    "cycle": lambda p: cycle(int(p[0])),
-    "complete": lambda p: complete(int(p[0])),
-    "complete-bipartite": lambda p: complete_bipartite(int(p[0]), int(p[1])),
-    "complete-multipartite": lambda p: complete_multipartite(p),
-    "star": lambda p: star(int(p[0])),
-    "subdivided-star": lambda p: subdivided_star(p),
+    "path": (1, path),
+    "cycle": (1, cycle),
+    "complete": (1, complete),
+    "complete-bipartite": (2, complete_bipartite),
+    "complete-multipartite": (None, lambda *p: complete_multipartite(p)),
+    "star": (1, star),
+    "subdivided-star": (None, lambda *p: subdivided_star(p)),
 }
 
 
@@ -100,7 +101,11 @@ class FamilySpec:
     def build(self) -> Graph:
         if self.tag not in _BUILDERS:
             raise ValueError(f"unknown family {self.tag!r}")
-        return _BUILDERS[self.tag](self.params)
+        count, builder = _BUILDERS[self.tag]
+        if count is not None and len(self.params) != count:
+            noun = "parameter" if count == 1 else "parameters"
+            raise ValueError(f"{self.tag} takes {count} {noun}, got {len(self.params)}")
+        return builder(*self.params)
 
     @staticmethod
     def parse(text: str) -> "FamilySpec":

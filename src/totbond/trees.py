@@ -10,7 +10,10 @@ deepest child subtree sorts first; so among the rootings of one free
 tree the lex-largest, which the generator visits first, is rooted at a
 peripheral vertex: a leaf, with height equal to the diameter.
 `enumerate_trees` therefore walks only the sequences with a leaf root
-(one 2), in the generator's own order, drops every one whose diameter
+(one 2), in the generator's own order (`_leaf_rooted`).  That walk keeps
+the sequence and its parent array and updates both in place: the
+successor's repeated block copies its parents along with its levels, so
+no parent array is rebuilt.  It drops every sequence whose diameter
 exceeds its height, and keys the survivors at the centre of their first
 branch, which is a diametral path: one bottom-up pass over the parent
 array, with no adjacency lists and no recursion (`_centre_key`).  Each
@@ -20,7 +23,9 @@ as when every rooted tree is canonized.  (Wright,
 Richmond, Odlyzko & McKay, SIAM J. Comput. 15(2), 1986, generate free
 trees with no key at all, but in another order and labelling.)  The
 count of sequences walked still grows about 3x per vertex, so the order
-stays capped.
+stays capped.  The reference that canonizes every rooted tree, with the
+full rooted generator and the checked level-sequence reader, lives in
+the test oracles, so it checks this walk without sharing its successor.
 """
 
 from __future__ import annotations
@@ -32,54 +37,35 @@ from .graphs import Graph
 MAX_TREE_ORDER = 16
 
 
-def rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """Yield the level sequences of all rooted trees on n vertices.
+def _leaf_rooted(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (seq, parent) for every n-vertex level sequence with one 2.
 
-    A level sequence lists vertex depths (root = 1) in preorder.  The
-    first sequence is the path [1, 2, ..., n]; each successor is formed
-    by finding the last entry p with L[p] > 2 and repeating the block
-    that starts at the last earlier position q with L[q] == L[p] - 1.
-    The star [1, 2, 2, ..., 2] is last.
+    These are the leaf-rooted trees, [1] + [x + 1 for x in rest] for each
+    rooted level sequence `rest` on n - 1 vertices, in the generator's
+    order: from the path [1, 2, ..., n] to a star under a leaf.  A level
+    sequence lists vertex depths (root = 1) in preorder, and parent[i] is
+    vertex i's parent, -1 for the root.  Both lists are updated in place.
+
+    The successor finds the last p with seq[p] > 3 and repeats the block
+    that starts at its parent q = parent[p], the last earlier vertex one
+    level up.  A copied vertex's parent inside the block moves with it,
+    by one period; one before the block is shared.
     """
-    if n < 1:
-        return
-    if n == 1:
-        yield [1]
-        return
     seq = list(range(1, n + 1))
+    parent = list(range(-1, n - 1))
     while True:
-        yield seq[:]
+        yield seq, parent
         p = n - 1
-        while p >= 0 and seq[p] <= 2:
+        while p >= 0 and seq[p] <= 3:
             p -= 1
         if p < 0:
             return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
+        q = parent[p]
         period = p - q
         for i in range(p, n):
             seq[i] = seq[i - period]
-
-
-def _parents(seq) -> list[int]:
-    """Parent of each vertex of a preorder level sequence; the root's is -1.
-
-    Vertex i is the i-th entry; its parent is the most recent vertex one
-    level up.  The root must be first and depths may only grow by 1.
-    """
-    if not seq or seq[0] != 1:
-        raise ValueError("level sequence must start at level 1")
-    parent = [-1]
-    stack = [0]  # stack[d-1] = current ancestor at depth d
-    for i in range(1, len(seq)):
-        d = seq[i]
-        if d < 2 or d > len(stack) + 1:
-            raise ValueError(f"level {d} at position {i} breaks preorder")
-        del stack[d - 1 :]
-        parent.append(stack[-1])
-        stack.append(i)
-    return parent
+            up = parent[i - period]
+            parent[i] = up if up < q else up + period
 
 
 def _tree(parent: list[int]) -> Graph:
@@ -89,11 +75,6 @@ def _tree(parent: list[int]) -> Graph:
         masks[v] |= 1 << p
         masks[p] |= 1 << v
     return Graph._trusted(len(parent), tuple(masks))
-
-
-def tree_from_level_sequence(seq) -> Graph:
-    """Build the tree a preorder level sequence describes (see `_parents`)."""
-    return _tree(_parents(seq))
 
 
 def _diameter_at_most(parent: list[int], h: int) -> bool:
@@ -156,15 +137,10 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     each tree labelled by the preorder of that first sequence.
     """
     check_tree_order(n)
-    if n <= 2:
-        yield tree_from_level_sequence(range(1, n + 1))
-        return
     seen: set[str] = set()
-    for rest in rooted_level_sequences(n - 1):
-        # a leaf root over the rooted tree `rest`; the first branch
-        # 0, 1, ..., h is the deepest path
-        parent = _parents([1] + [x + 1 for x in rest])
-        h = max(rest)
+    for seq, parent in _leaf_rooted(n):
+        # the first branch 0, 1, ..., h is the deepest path
+        h = max(seq) - 1
         if not _diameter_at_most(parent, h):
             continue
         key = _centre_key(parent, h)

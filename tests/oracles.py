@@ -16,6 +16,7 @@ from totbond.embedding import Embedding
 from totbond.formats import GRAPH6_HEADER, PLANAR_CODE_HEADER, FormatError, _g6_size_bytes, graph6_bytes
 from totbond.graphs import Graph, _bits
 from totbond.smallgraphs import count_automorphisms, enumerate_graph_classes
+from totbond.trees import MAX_TREE_ORDER, _tree
 
 
 def brute_gamma_t(g: Graph) -> int | None:
@@ -383,6 +384,61 @@ def free_canonical_form(g: Graph) -> str:
     return min(ahu_code(adj, c) for c in tree_centers(adj))
 
 
+def rooted_level_sequences(n: int) -> Iterator[list[int]]:
+    """Yield the level sequences of all rooted trees on n vertices.
+
+    A level sequence lists vertex depths (root = 1) in preorder.  The
+    first sequence is the path [1, 2, ..., n]; each successor is formed
+    by finding the last entry p with L[p] > 2 and repeating the block
+    that starts at the last earlier position q with L[q] == L[p] - 1.
+    The star [1, 2, 2, ..., 2] is last.
+    """
+    if n < 1:
+        return
+    if n == 1:
+        yield [1]
+        return
+    seq = list(range(1, n + 1))
+    while True:
+        yield seq[:]
+        p = n - 1
+        while p >= 0 and seq[p] <= 2:
+            p -= 1
+        if p < 0:
+            return
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        period = p - q
+        for i in range(p, n):
+            seq[i] = seq[i - period]
+
+
+def _parents(seq) -> list[int]:
+    """Parent of each vertex of a preorder level sequence; the root's is -1.
+
+    Vertex i is the i-th entry; its parent is the most recent vertex one
+    level up.  The root must be first and depths may only grow by 1.
+    """
+    if not seq or seq[0] != 1:
+        raise ValueError("level sequence must start at level 1")
+    parent = [-1]
+    stack = [0]  # stack[d-1] = current ancestor at depth d
+    for i in range(1, len(seq)):
+        d = seq[i]
+        if d < 2 or d > len(stack) + 1:
+            raise ValueError(f"level {d} at position {i} breaks preorder")
+        del stack[d - 1 :]
+        parent.append(stack[-1])
+        stack.append(i)
+    return parent
+
+
+def tree_from_level_sequence(seq) -> Graph:
+    """Build the tree a preorder level sequence describes (see `_parents`)."""
+    return _tree(_parents(seq))
+
+
 def canonized_trees(n: int) -> Iterator[Graph]:
     """Free trees by canonizing every rooted tree at its centre(s).
 
@@ -391,8 +447,6 @@ def canonized_trees(n: int) -> Iterator[Graph]:
     sequences as tall as their diameter, and must yield the same graphs
     in the same order.
     """
-    from totbond.trees import MAX_TREE_ORDER, rooted_level_sequences, tree_from_level_sequence
-
     if n < 1:
         raise ValueError("tree order must be at least 1")
     if n > MAX_TREE_ORDER:

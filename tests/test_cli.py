@@ -56,6 +56,10 @@ class TestGen:
             ("--family", "path:0"),
             ("--family", "bogus:3"),
             ("--family", "path:x"),
+            ("--family", "path"),
+            ("--family", "cycle:"),
+            ("--family", "complete-bipartite:3"),
+            ("--family", "path:3,9"),
         ],
     )
     def test_bad_order_or_family_exits_with_one_line(self, capsys, flag, value):
@@ -63,6 +67,21 @@ class TestGen:
             main(["gen", flag, value])
         assert str(exc.value).startswith(f"{flag}: ")
         assert "\n" not in str(exc.value)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--trees", "7", "--max-edges", "1"], "--max-edges"),
+            (["--family", "path:3", "--max-edges", "0"], "--max-edges"),
+            (["--trees", "7", "--triangle-free"], "--triangle-free"),
+            (["--corpus", "paths:3..5", "--planar"], "--planar"),
+        ],
+    )
+    def test_class_filter_without_classes_exits_with_one_line(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *argv])
+        assert str(exc.value) == f"{flag}: filters only --classes"
         assert capsys.readouterr().out == ""
 
     def test_classes_filtered(self, capsys):

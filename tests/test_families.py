@@ -121,6 +121,19 @@ class TestFamilySpec:
         spec = FamilySpec.parse("complete-multipartite:3,2,2")
         assert spec.build() == complete_multipartite((3, 2, 2))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("path", "path takes 1 parameter, got 0"),
+            ("cycle:", "cycle takes 1 parameter, got 0"),
+            ("complete-bipartite:3", "complete-bipartite takes 2 parameters, got 1"),
+            ("path:3,9", "path takes 1 parameter, got 2"),
+        ],
+    )
+    def test_wrong_parameter_count(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FamilySpec.parse(text).build()
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             FamilySpec.parse("moebius:5").build()

@@ -11,18 +11,19 @@ from itertools import product
 
 import pytest
 
-from oracles import canonized_trees, free_canonical_form, otter_counts, prufer_tree, tree_centers
-from totbond.formats import graph6_bytes
-from totbond.graphs import Graph
-from totbond.trees import (
-    _centre_key,
-    _diameter_at_most,
+from oracles import (
     _parents,
-    _tree,
-    enumerate_trees,
+    canonized_trees,
+    free_canonical_form,
+    otter_counts,
+    prufer_tree,
     rooted_level_sequences,
+    tree_centers,
     tree_from_level_sequence,
 )
+from totbond.formats import graph6_bytes
+from totbond.graphs import Graph
+from totbond.trees import _centre_key, _diameter_at_most, _leaf_rooted, _tree, enumerate_trees
 
 FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # n = 1..12
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
@@ -123,12 +124,11 @@ def _diameter(g: Graph) -> int:
 
 
 def _diameter_tall_sequences(n: int):
-    """(parent, h) of every leaf-rooted sequence the walk keys, for n >= 3."""
-    for rest in rooted_level_sequences(n - 1):
-        parent = _parents([1] + [x + 1 for x in rest])
-        h = max(rest)
+    """(parent, h) of every leaf-rooted sequence the walk keys."""
+    for seq, parent in _leaf_rooted(n):
+        h = max(seq) - 1
         if _diameter_at_most(parent, h):
-            yield parent, h
+            yield parent[:], h
 
 
 class TestCentreKey:
@@ -165,6 +165,20 @@ class TestCentreKey:
 
 
 class TestLeafRootedWalk:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_sequences_and_parents_match_the_rooted_reference(self, n):
+        """A leaf root over each rooted sequence on n - 1 vertices, in the
+        reference's order, with the parents the checked reader derives."""
+        walked = [(seq[:], parent[:]) for seq, parent in _leaf_rooted(n)]
+        want = []
+        for rest in rooted_level_sequences(n - 1):
+            seq = [1] + [x + 1 for x in rest]
+            want.append((seq, _parents(seq)))
+        assert walked == want
+
+    def test_single_vertex(self):
+        assert [(seq[:], parent[:]) for seq, parent in _leaf_rooted(1)] == [([1], [-1])]
+
     @pytest.mark.parametrize("n", range(1, 15))
     def test_same_graphs_in_same_order_as_reference(self, n):
         want = [graph6_bytes(t) for t in canonized_trees(n)]
