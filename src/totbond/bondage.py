@@ -27,8 +27,12 @@ so v's largest remaining D-neighbor says whether all of v's D-edges lie
 below hi, and their number is what killing v costs.  With one edge left
 (j = 1) only the edges that kill every surviving pooled set are tried,
 each at its own place in the sweep.  The exact cover search, which
-`gamma_t` shares, runs only when no pooled set survives, and every cover
-it finds joins the pool.
+`gamma_t` shares, runs only when no pooled set survives.  It returns a
+minimum total dominating set of G - U, which has at least gamma_t(G)
+vertices since it dominates G too.  A cover of gamma_t(G) vertices
+joins the pool; a larger one finishes a bondage set B, and its size is
+the certificate's gamma_after = gamma_t(G - B), so no second solve of
+G - B is needed.
 
 A node with two edges left rules on each child from its own kill masks
 before it deletes the child's edge (u, v).  Each pooled set D keeps its
@@ -242,6 +246,7 @@ class _Sweep:
         self.examined = 0
         self.exact_calls = 0
         self.skipped = 0
+        self.gamma_after: int | None = None  # gamma_t(G - B) of the bondage set B found
 
     def level(self, k: int) -> frozenset[Edge] | None:
         """The first bondage set of size k in colex order, else None.
@@ -369,7 +374,8 @@ class _Sweep:
             cover = self._solve()
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-            if cover is None:
+            if len(cover) > self.gv:
+                self.gamma_after = len(cover)
                 return frozenset(edges[i] for i in (*self.chosen, x))
             rest &= self._kills(self._add(cover))
         self._advance(base + hi)
@@ -387,9 +393,11 @@ class _Sweep:
             raise _OutOfBudget
         self.examined = examined
 
-    def _solve(self) -> list[int] | None:
+    def _solve(self) -> list[int]:
+        # a minimum TDS of G - U: none is smaller than gamma_t(G), since
+        # every TDS of G - U also dominates G
         self.exact_calls += 1
-        return _exists_cover(self.adj, self.full, self.gv)
+        return _exists_cover(self.adj, self.full, self.n, self.gv)
 
     def _add(self, cover: list[int]) -> int:
         d = sum(1 << v for v in cover)
@@ -435,9 +443,8 @@ def bondage(g: Graph, cap: int | None = None, work_budget: int | None = None) ->
                 stats=sweep.stats(),
             )
         if witness is not None:
-            after = gamma_t(g.delete_edges(witness))
             return BondageCertificate(
-                "finite", k, witness, gv, after.value, stats=sweep.stats()
+                "finite", k, witness, gv, sweep.gamma_after, stats=sweep.stats()
             )
     return BondageCertificate(
         "unknown-above-cap", None, None, gv, None, cap=cap_eff, stats=sweep.stats()

@@ -5,8 +5,10 @@ members cover V(G).  Every question here goes to one function,
 `_exists_cover(adj, full, size, least)`: a cover of `full` by at most
 `size` neighborhoods, else None, and a minimum one whenever the minimum
 is at least `least`.  `gamma_t` asks with size n and least 0.  The
-bondage sweep and `exists_total_dominating_set` only ask whether a cover
-fits in `size`, so `least` defaults to `size`.
+bondage sweep asks with size n and least gamma_t(G): deleting edges
+never lowers the minimum, so it gets a minimum cover of G - U, and from
+its size both the verdict and gamma_t(G - B).  `exists_total_dominating_set`
+only asks whether a cover fits in `size`, so `least` defaults to `size`.
 
 `_exists_cover` takes the max-gain greedy cover first.  Call its size
 `top`, or size + 1 when it does not fit.  The greedy answer stands once the

@@ -54,11 +54,20 @@ class WitnessReport:
 
 
 class _Shared:
-    """A graph with its graph6 string and total domination number, each
-    computed at most once however many reports on the graph use them."""
+    """A graph with its graph6 string, total domination number,
+    connectivity and minimum degree, each computed at most once however
+    many reports on the graph use them."""
 
     def __init__(self, g: Graph):
         self.g = g
+
+    @cached_property
+    def connected(self) -> bool:
+        return self.g.is_connected()
+
+    @cached_property
+    def min_degree(self) -> int:
+        return self.g.min_degree()
 
     @cached_property
     def graph6(self) -> str:
@@ -210,9 +219,9 @@ def _deg3_dist2(g: Graph, anchors: tuple[int, ...]) -> _Built:
     u1, u2 = anchors
     if g.degree(u1) != 3 or g.degree(u2) != 3:
         return "anchors are not both degree 3"
-    if g.distance(u1, u2) != 2:
-        return "anchors are not at distance 2"
     common = g.adj[u1] & g.adj[u2]
+    if g.has_edge(u1, u2) or not common:
+        return "anchors are not at distance 2"
     v = (common & -common).bit_length() - 1
     u2p = min(x for x in g.neighbors(u2) if x != v)
     b = _incident(g, (u1, u2, u2p))
@@ -339,9 +348,9 @@ def _apply(s: _Shared, rule: str, anchors: tuple[int, ...]) -> WitnessReport:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     _, floor, _, build = _ANCHORED[rule]
-    if not g.is_connected():
+    if not s.connected:
         built = "graph is not connected"
-    elif g.min_degree() < floor:
+    elif s.min_degree < floor:
         built = f"minimum degree below {floor}"
     else:
         built = build(g, anchors)

@@ -170,7 +170,9 @@ def walk_bondage(g: Graph, cap: int | None = None, work_budget: int | None = Non
 
     Every child of a node is visited, each last-edge step computes its
     kill masks afresh, a node where no pooled set survives runs the exact
-    solver first, and finiteness always runs the blossom matching.
+    solver first, and finiteness always runs the blossom matching.  Each
+    exact solve only asks whether a cover of gamma_t(G) vertices exists,
+    and gamma_after comes from a second solve of G - B.
     `totbond.bondage.bondage` must return an equal certificate with equal
     `BondageStats` for every (graph, cap, work_budget).
     """
@@ -183,9 +185,13 @@ def walk_bondage(g: Graph, cap: int | None = None, work_budget: int | None = Non
         _Sweep,
         max_matching_size,
     )
-    from totbond.domination import gamma_t
+    from totbond.domination import _exists_cover, gamma_t
 
     class Walk(_Sweep):
+        def _solve(self):
+            self.exact_calls += 1
+            return _exists_cover(self.adj, self.full, self.gv)
+
         def level(self, k):
             return self._visit(k, len(self.edges), self.pool)
 

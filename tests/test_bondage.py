@@ -35,7 +35,14 @@ from totbond.bondage import (
     bondage,
     max_matching_size,
 )
-from totbond.corpus import cube, icosahedron, icosahedron_incidence, planar_min3_corpus
+from totbond.corpus import (
+    cube,
+    girth4_corpus,
+    icosahedron,
+    icosahedron_incidence,
+    planar_min3_corpus,
+)
+from totbond.domination import gamma_t
 from totbond.families import complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError
 from totbond.smallgraphs import enumerate_graph_classes
@@ -287,7 +294,8 @@ class TestAgainstColexSweep:
 
 class TestAgainstWalk:
     """Same certificate and same BondageStats as the walk that visits every
-    last-edge child (`oracles.walk_bondage`)."""
+    last-edge child and solves G - B a second time for gamma_after
+    (`oracles.walk_bondage`)."""
 
     def check(self, g, cap=None, budget=None):
         got = bondage(g, cap=cap, work_budget=budget)
@@ -321,6 +329,56 @@ class TestAgainstWalk:
         for g in graphs:
             for cap, budget in GRID:
                 self.check(g, cap, budget)
+
+
+class TestGammaAfter:
+    """The solve that decides a bondage set B also gives gamma_after: it
+    equals a fresh gamma_t(G - B), and bondage runs gamma_t only once."""
+
+    def finite(self, graphs, budget=None):
+        count = 0
+        for g in graphs:
+            cert = bondage(g, work_budget=budget)
+            if cert.status == "finite":
+                assert cert.gamma_after == gamma_t(g.delete_edges(cert.witness)).value, g.edges()
+                count += 1
+        return count
+
+    def test_trees_up_to_twelve(self):
+        assert self.finite(t for n in range(2, 13) for t in enumerate_trees(n)) == 975
+
+    def test_isolate_free_classes_up_to_seven(self):
+        graphs = (
+            g for n in range(2, 8) for g in enumerate_graph_classes(n)
+            if not g.has_isolated_vertex()
+        )
+        assert self.finite(graphs) == 1023
+
+    def test_planar_min3_at_campaign_budget(self):
+        assert self.finite(planar_min3_corpus(), budget=200000) == 19
+
+    def test_girth4_up_to_24(self):
+        graphs = [g for g in girth4_corpus() if g.n <= 24]
+        assert self.finite(graphs, budget=100000) == len(graphs) == 36
+
+    def test_tree_campaign_solves_gamma_t_once_per_judged_tree(self, monkeypatch):
+        module = importlib.import_module("totbond.bondage")  # the package exports the function
+        campaigns = importlib.import_module("totbond.campaigns")
+        calls = []
+        certs = []
+        real_gamma, real_bondage = module.gamma_t, campaigns.bondage
+        monkeypatch.setattr(module, "gamma_t", lambda g: calls.append(g) or real_gamma(g))
+        monkeypatch.setattr(
+            campaigns, "bondage", lambda *a, **k: certs.append(real_bondage(*a, **k)) or certs[-1]
+        )
+        result = campaigns.run_campaign(
+            "thm-tree-n23", [t for n in range(5, 10) for t in enumerate_trees(n)]
+        )
+        judged = result.holds + result.violations
+        assert (judged, len(certs), len(calls)) == (79, 79, 79)
+        assert all(c.status == "finite" for c in certs)
+        # the two-solve sweep's figure: the pool and the solves are unchanged
+        assert sum(c.stats.exact_calls for c in certs) == 98
 
 
 class TestBudgetBoundaries:

@@ -132,6 +132,16 @@ class TestDegreeRules:
         assert rep.claimed_bound == g.max_degree() + 3
         assert rep.verdict == replay_with_oracle(g, rep)
 
+    def test_deg3_dist2_not_at_distance_2_unmet(self):
+        from totbond.corpus import cube
+
+        g = cube()
+        far = next((u, v) for u in range(8) for v in range(u + 1, 8) if g.distance(u, v) == 3)
+        # adjacent with a common neighbour, then at distance 3
+        for h, anchors in ((complete(4), (0, 1)), (g, far)):
+            rep = apply_rule(h, "deg3-dist2", anchors)
+            assert (rep.verdict, rep.reason) == (UNMET, "anchors are not at distance 2")
+
     def test_deg3_dist2_requires_min_degree(self):
         rep = apply_rule(path(6), "deg3-dist2", (0, 2))
         assert rep.verdict == UNMET
@@ -257,10 +267,17 @@ class TestAnchorsAndDispatch:
         from totbond.corpus import cube
 
         g = cube()
-        solved, encoded = [], []
+        solved, encoded, checked = [], [], []
         real_gamma, real_g6 = witnesses.gamma_t, witnesses.graph6_bytes
+        real_connected, real_min_degree = Graph.is_connected, Graph.min_degree
         monkeypatch.setattr(witnesses, "gamma_t", lambda h: solved.append(h) or real_gamma(h))
         monkeypatch.setattr(witnesses, "graph6_bytes", lambda h: encoded.append(h) or real_g6(h))
+        monkeypatch.setattr(
+            Graph, "is_connected", lambda h: checked.append("connected") or real_connected(h)
+        )
+        monkeypatch.setattr(
+            Graph, "min_degree", lambda h: checked.append("min-degree") or real_min_degree(h)
+        )
         reports = scan_witnesses(g)
         replayed = [r for r in reports if r.isolate_free]
         assert len(reports) > 1 and replayed
@@ -268,6 +285,7 @@ class TestAnchorsAndDispatch:
         # one further solve per replay on the graph minus the edge set
         assert len(solved) == 1 + len(replayed)
         assert encoded == [g]
+        assert sorted(checked) == ["connected", "min-degree"]
         monkeypatch.undo()
         assert reports == [apply_rule(g, r.rule, r.anchors) for r in reports]
 
