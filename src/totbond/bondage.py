@@ -34,16 +34,21 @@ joins the pool; a larger one finishes a bondage set B, and its size is
 the certificate's gamma_after = gamma_t(G - B), so no second solve of
 G - B is needed.
 
-A node with two edges left rules on each child from its own kill masks
-before it deletes the child's edge (u, v).  Each pooled set D keeps its
-mask under the node's U, computed once per node when first needed.
-Deleting edges takes no kill edge away (a vertex with one D-edge keeps
-it, or D dies), so the child's mask for D is the node's mask plus the
-kill edges that u and v gain; D is passed over when it loses every
-D-neighbour of u or of v.  The edges below (u, v) that all these masks
-share are the child's last edges to try: when there are none the child
-is skipped, and a visited child's last-edge step starts from them.
-Level 1 has no parent node and takes its mask from gamma_t's witness.
+Each node carries the kill mask of every pooled set D that survives its
+U: the edges whose deletion strips some vertex of its last D-edge.  A
+level computes the masks once, with U empty.  Deleting edges takes no kill
+edge away (a vertex with one D-edge keeps it, or D dies), so the mask of
+D in the child that deletes (u, v) is the node's mask plus the kill
+edges that u and v gain, and D is passed over when it loses every
+D-neighbour of u or of v.  A set pooled after a node's masks were made
+gets its mask under the node's U when a child first needs it.  A mask
+edge below hi kills D with one deletion, so the skip test counts D's
+D-neighbours only when the mask has none.  A node with two edges left
+rules on each child before it deletes the child's edge: the edges below
+(u, v) that all the child's masks share are the child's last edges to
+try.  When there are none the child is skipped, and a visited child's
+last-edge step starts from them.  Level 1 has no parent node and takes
+its mask from gamma_t's witness.
 
 A skipped block holds no bondage set and a tried edge is the only kind
 that can finish one, so the walk meets bondage sets in the order the
@@ -219,10 +224,14 @@ class _Sweep:
     The walk holds U, the largest edges chosen so far, as deletions in
     `adj`/`deg`, with their indices in `chosen`.  A node (U, j, hi) stands
     for the C(hi, j) consecutive subsets that add j edges below hi to U.
-    `pool` holds minimum TDSs as vertex masks; each node on the path
-    keeps, in `stack`, the list of pooled sets that survive its U, and a
-    set the exact solver finds joins every list on the path (it survives
-    every U there, since deleting fewer edges keeps it dominating).
+    `pool` holds minimum TDSs as vertex masks.  The pool, as the level's
+    root, and each node on the path with two or more edges left keep, in
+    `stack`, the list of pooled sets that survive their U, and a set the
+    exact solver finds joins every list on the path (it survives every U
+    there, since deleting fewer edges keeps it dominating).  Such a node
+    also gets a dict of those sets' kill masks under its U, and makes its
+    children's; a node with one edge left needs only the edges that all
+    the masks of its surviving sets share.
     """
 
     def __init__(
@@ -254,48 +263,75 @@ class _Sweep:
         Raises _OutOfBudget when the budget ends before that set, or
         before the level's end when it holds none.
         """
-        # level 1 has no parent to rule for it; only gamma_t's witness D is
-        # pooled yet, and D less any vertex x is no TDS, so some vertex has
-        # x as its one D-neighbour and the mask is never 0
-        rest = self._kills(self.pool[0]) if k == 1 else 0
-        return self._visit(k, len(self.edges), self.pool, rest)
+        pool, hi = self.pool, len(self.edges)
+        self.stack.append(pool)
+        if k == 1:
+            # only gamma_t's witness D is pooled yet, and D less any vertex
+            # x is no TDS, so some vertex has x as its one D-neighbour and
+            # the mask is never 0
+            found = self._last_edge(hi, self._kills(pool[0]))
+        else:
+            found = self._inner(k, hi, pool, {d: self._kills(d) for d in pool})
+        self.stack.pop()
+        return found
 
     def stats(self) -> BondageStats:
         return BondageStats(self.examined, self.exact_calls, self.skipped)
 
-    def _visit(self, j: int, hi: int, alive: list[int], rest: int) -> frozenset[Edge] | None:
-        # `rest` is the last-edge mask when j == 1.  `alive` is never empty:
-        # U is isolate-free and smaller than the level, so the sweep of size
-        # |U| left a pooled set alive in U (a tried last edge pools its cover;
-        # an untried edge or a skipped block leaves one alive)
-        self.stack.append(alive)
-        found = self._last_edge(hi, rest) if j == 1 else self._inner(j, hi, alive)
-        self.stack.pop()
-        return found
-
-    def _inner(self, j: int, hi: int, alive: list[int]) -> frozenset[Edge] | None:
-        if not all(self._killable(d, j, hi) for d in alive):
-            return self._skip(comb(hi, j))
-        adj, deg, edges = self.adj, self.deg, self.edges
-        masks: dict[int, int] = {}  # kill masks under this node's U, when j == 2
+    def _inner(self, j: int, hi: int, alive: list[int], masks: dict[int, int]) -> frozenset[Edge] | None:
+        # `alive` is never empty: U is isolate-free and smaller than the
+        # level, so the sweep of size |U| left a pooled set alive in U (a
+        # tried last edge pools its cover; an untried edge or a skipped
+        # block leaves one alive).  `masks` holds each one's kill mask
+        # under U; a set pooled after it was made gets its mask on demand
+        below = (1 << hi) - 1
+        for d in alive:
+            # a kill edge below hi kills d with one deletion
+            if not masks[d] & below and not self._killable(d, j, hi):
+                return self._skip(comb(hi, j))
+        n, adj, deg, edges, ebit = self.n, self.adj, self.deg, self.edges, self.ebit
         for top in range(j - 1, hi):
             u, v = edges[top]
             if deg[u] == 1 or deg[v] == 1:  # every subset below isolates u or v
                 self._skip(comb(top, j - 1))
                 continue
-            rest = 0  # the child's last-edge mask, when j == 2
             if j == 2:
                 rest = self._last_edge_mask(top, alive, masks)
                 if not rest:
                     self._skip(top)
                     continue
+            else:
+                # the child's pooled sets and their masks: this node's mask
+                # plus the kill edges that u and v gain.  A set pooled since
+                # this node's masks were made gets its own here, before
+                # (u, v) is deleted
+                au = adj[u] ^ (1 << v)
+                av = adj[v] ^ (1 << u)
+                child: dict[int, int] = {}
+                for d in alive:
+                    ru = au & d
+                    rv = av & d
+                    if ru and rv:
+                        kills = masks.get(d)
+                        if kills is None:
+                            kills = masks[d] = self._kills(d)
+                        if not ru & (ru - 1):
+                            kills |= ebit[u * n + ru.bit_length() - 1]
+                        if not rv & (rv - 1):
+                            kills |= ebit[v * n + rv.bit_length() - 1]
+                        child[d] = kills
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
             deg[u] -= 1
             deg[v] -= 1
-            au, av = adj[u], adj[v]
             self.chosen.append(top)
-            found = self._visit(j - 1, top, [d for d in alive if au & d and av & d], rest)
+            if j == 2:
+                found = self._last_edge(top, rest)
+            else:
+                survivors = list(child)
+                self.stack.append(survivors)
+                found = self._inner(j - 1, top, survivors, child)
+                self.stack.pop()
             self.chosen.pop()
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u

@@ -330,6 +330,54 @@ class TestAgainstWalk:
             for cap, budget in GRID:
                 self.check(g, cap, budget)
 
+    def test_girth4_up_to_24(self):
+        # walks that reach three edges left with many pooled sets
+        graphs = [g for g in girth4_corpus() if g.n <= 24]
+        assert len(graphs) == 36
+        for g in graphs:
+            self.check(g, budget=100000)
+
+
+class TestCarriedMasks:
+    """Each node's kill masks, carried down from its parent, equal the masks
+    computed afresh under that node's U."""
+
+    @pytest.mark.parametrize(
+        "g, budget",
+        [(cube(), None), (complete_bipartite(3, 3), None), (icosahedron(), 200000),
+         (icosahedron_incidence(), None)],
+        ids=["cube", "K3,3", "icosahedron", "icosahedron-incidence"],
+    )
+    def test_masks_match_fresh_kills(self, monkeypatch, g, budget):
+        real_inner, real_kills = _Sweep._inner, _Sweep._kills
+        carried = []  # entries checked at nodes below a level's root
+
+        def check(sweep, masks):
+            for d, kills in masks.items():
+                assert kills == real_kills(sweep, d), (g.edges(), sweep.chosen)
+
+        def inner(sweep, j, hi, alive, masks):
+            assert set(masks) == set(alive)
+            check(sweep, masks)
+            if hi < len(sweep.edges):
+                carried.extend(masks)
+            found = real_inner(sweep, j, hi, alive, masks)
+            check(sweep, masks)  # with the masks made on demand, U restored
+            return found
+
+        monkeypatch.setattr(_Sweep, "_inner", inner)
+        bondage(g, work_budget=budget)
+        assert carried
+
+    def test_planar_min3_computes_few_masks(self, monkeypatch):
+        # a fresh mask at every node made 19,711 calls here
+        calls = []
+        real_kills = _Sweep._kills
+        monkeypatch.setattr(_Sweep, "_kills", lambda sweep, d: calls.append(d) or real_kills(sweep, d))
+        for g in planar_min3_corpus():
+            bondage(g, work_budget=200000)
+        assert 0 < len(calls) <= 2000
+
 
 class TestGammaAfter:
     """The solve that decides a bondage set B also gives gamma_after: it
