@@ -295,6 +295,7 @@ class _Sweep:
             if deg[u] == 1 or deg[v] == 1:  # every subset below isolates u or v
                 self._skip(comb(top, j - 1))
                 continue
+            # kept apart from the j > 2 dict: _last_edge_mask's AND stops at the first empty mask
             if j == 2:
                 rest = self._last_edge_mask(top, alive, masks)
                 if not rest:

@@ -1,12 +1,13 @@
 """Theorem-verification campaigns over graph corpora.
 
-A campaign pairs a hypothesis filter with a bound (or a detector) and
-sweeps a corpus: graphs outside the hypothesis are recorded as skipped,
-graphs inside are judged by the exact solver.  THEOREMS defines every
-tag this way, one entry each.  Output is one RECORD line per graph,
-keyed by the full graph6 string so any line can be replayed, plus one
-SUMMARY line.  Nothing is sampled; a campaign with a work budget marks
-budget-cut graphs as skipped rather than guessing.
+A campaign pairs hypotheses with a judge and sweeps a corpus: graphs
+outside the hypotheses are recorded as skipped, graphs inside are judged
+by the exact solver.  THEOREMS defines every tag, one entry each; every
+upper bound on b_t is one `Bound` row, and `bounds` reads six of them
+from PRIOR_BOUNDS.  Output is one RECORD line per graph, keyed by the
+full graph6 string so any line can be replayed, plus one SUMMARY line.
+Nothing is sampled; a campaign with a work budget marks budget-cut
+graphs as skipped rather than guessing.
 """
 
 from __future__ import annotations
@@ -155,27 +156,6 @@ def _b_t_text(cert: BondageCertificate) -> object:
     return "inf" if cert.status == "infinite" else f">{cert.cap}"
 
 
-def _upper_bound(
-    tag: str, g: Graph, work_budget: int | None, *, bound, extra=lambda g: ()
-) -> GraphOutcome:
-    b = bound(g)
-    # searching past the bound is wasted work: any completed level
-    # above it already decides the verdict
-    top = min(b, g.m)
-    cert = bondage(g, cap=top, work_budget=work_budget)
-    within = _within(cert, top)
-    if within is None:
-        return _skip(tag, g, "work-budget")
-    detail = [("bound", b), *extra(g), ("b_t", _b_t_text(cert))]
-    if cert.status == "finite":
-        detail.append(("witness", edges_text(cert.witness)))
-    elif cert.status == "infinite":
-        detail.append(("criterion", cert.criterion.replace(" ", "-")))
-    elif cert.cap >= g.m:  # no edge set of any size works
-        detail.append(("note", "exhausted-all-edge-subsets"))
-    return _outcome(tag, g, HOLDS if within else VIOLATED, detail)
-
-
 def _exact_value(tag: str, g: Graph, work_budget: int | None, *, expected) -> GraphOutcome:
     want = expected(g)
     if want == math.inf:
@@ -219,9 +199,43 @@ class Hypothesis(NamedTuple):
     holds: Callable[[Graph], bool]
 
 
+def _unmet(hypotheses: tuple[Hypothesis, ...], g: Graph) -> str | None:
+    """The reason of the first hypothesis g misses, or None if all hold."""
+    for reason, holds in hypotheses:
+        if not holds(g):
+            return reason
+    return None
+
+
 class Theorem(NamedTuple):
     hypotheses: tuple[Hypothesis, ...]  # checked in order; the first failure is reported
     judge: Callable[[str, Graph, int | None], GraphOutcome]
+
+
+class Bound(NamedTuple):
+    """An upper bound on b_t under hypotheses: a campaign tag, a `bounds` row, or both."""
+
+    hypotheses: tuple[Hypothesis, ...]
+    bound: Callable[[Graph], int]
+    extra: Callable[[Graph], tuple] = lambda g: ()  # detail printed before b_t
+
+    def judge(self, tag: str, g: Graph, work_budget: int | None) -> GraphOutcome:
+        b = self.bound(g)
+        # searching past the bound is wasted work: any completed level
+        # above it already decides the verdict
+        top = min(b, g.m)
+        cert = bondage(g, cap=top, work_budget=work_budget)
+        within = _within(cert, top)
+        if within is None:
+            return _skip(tag, g, "work-budget")
+        detail = [("bound", b), *self.extra(g), ("b_t", _b_t_text(cert))]
+        if cert.status == "finite":
+            detail.append(("witness", edges_text(cert.witness)))
+        elif cert.status == "infinite":
+            detail.append(("criterion", cert.criterion.replace(" ", "-")))
+        elif cert.cap >= g.m:  # no edge set of any size works
+            detail.append(("note", "exhausted-all-edge-subsets"))
+        return _outcome(tag, g, HOLDS if within else VIOLATED, detail)
 
 
 # Guards look Graph methods and planar functions up at call time, so
@@ -245,27 +259,9 @@ def _no_light_edge(g: Graph) -> bool:
     return all(deg[u] + deg[v] >= 8 for u, v in g.edges())
 
 
-class TreeBound(NamedTuple):
-    """A published upper bound on b_t of trees; a campaign tag and a
-    `verify_prior_bounds` row both judge it."""
-
-    hypotheses: tuple[Hypothesis, ...]
-    bound: Callable[[Graph], int]
-
-    def theorem(self) -> Theorem:
-        return Theorem(self.hypotheses, partial(_upper_bound, bound=self.bound))
-
-
-_TREE_RAD = TreeBound((_TREE, _MAX_DEGREE_3, _NOT_STAR), lambda g: g.max_degree() - 1)
-# K1 is the one tree whose b_t is undefined
-_TREE_SRIDHARAN = TreeBound(
-    (_TREE, _NO_ISOLATED, _NOT_STAR), lambda g: min(g.max_degree(), (g.n - 1) // 3)
-)
-
-
-# A judge checks an upper bound on b_t or an exact value of b_t, or runs
-# a configuration detector.
-THEOREMS: dict[str, Theorem] = {
+# A row is a Bound, or a Theorem whose judge checks an exact value of
+# b_t or runs a configuration detector.
+THEOREMS: dict[str, Theorem | Bound] = {
     "thm-paths": Theorem(
         (Hypothesis("not-a-path", _is_path_graph),),
         partial(_exact_value, expected=lambda g: (
@@ -284,21 +280,21 @@ THEOREMS: dict[str, Theorem] = {
         ),
         partial(_exact_value, expected=lambda g: _multipartite_parts(g)[-1]),
     ),
-    "thm-multipartite": Theorem(
+    "thm-multipartite": Bound(
         (
             Hypothesis("not-complete-multipartite", lambda g: (
                 len(_multipartite_parts(g) or ()) >= 2 and g.is_connected())),
             Hypothesis("a-part-below-2", _parts_of_2_or_more),
         ),
-        partial(
-            _upper_bound,
-            bound=lambda g: 4 * g.n - 2 * _multipartite_parts(g)[0] - 2,
-            extra=lambda g: (("construction_size", 2 * g.n - 2 * _multipartite_parts(g)[0] - 2),),
-        ),
+        lambda g: 4 * g.n - 2 * _multipartite_parts(g)[0] - 2,
+        lambda g: (("construction_size", 2 * g.n - 2 * _multipartite_parts(g)[0] - 2),),
     ),
-    "thm-tree-rad": _TREE_RAD.theorem(),
-    "thm-tree-sridharan": _TREE_SRIDHARAN.theorem(),
-    "thm-tree-n23": Theorem(
+    "thm-tree-rad": Bound((_TREE, _MAX_DEGREE_3, _NOT_STAR), lambda g: g.max_degree() - 1),
+    # K1 is the one tree whose b_t is undefined
+    "thm-tree-sridharan": Bound(
+        (_TREE, _NO_ISOLATED, _NOT_STAR), lambda g: min(g.max_degree(), (g.n - 1) // 3)
+    ),
+    "thm-tree-n23": Bound(
         (
             _TREE,
             _MAX_DEGREE_3,
@@ -308,9 +304,9 @@ THEOREMS: dict[str, Theorem] = {
                 g.n == 7 and is_isomorphic(g, subdivided_star((3, 0, 0))))),
             _NOT_STAR,
         ),
-        partial(_upper_bound, bound=lambda g: (g.n - 2) // 3),
+        lambda g: (g.n - 2) // 3,
     ),
-    "thm-dist2-d1": Theorem(
+    "thm-dist2-d1": Bound(
         (
             _CONNECTED,
             Hypothesis("min-degree-below-2", lambda g: g.min_degree() >= 2),
@@ -318,17 +314,14 @@ THEOREMS: dict[str, Theorem] = {
             Hypothesis("no-2-vertices-within-distance-3", lambda g: any(
                 iter_anchors(g, "deg2-dist3"))),
         ),
-        partial(_upper_bound, bound=lambda g: g.max_degree() + 1),
+        lambda g: g.max_degree() + 1,
     ),
-    "thm-planar-d8": Theorem(
+    "thm-planar-d8": Bound(
         (_CONNECTED, _MIN_DEGREE_3, _PLANAR),
-        partial(
-            _upper_bound,
-            bound=lambda g: min(g.max_degree() + 8, 10),
-            extra=lambda g: (("branch_delta_plus_8", g.max_degree() + 8), ("branch_flat", 10)),
-        ),
+        lambda g: min(g.max_degree() + 8, 10),
+        lambda g: (("branch_delta_plus_8", g.max_degree() + 8), ("branch_flat", 10)),
     ),
-    "thm-girth4-d3": Theorem(
+    "thm-girth4-d3": Bound(
         (
             _CONNECTED,
             _MIN_DEGREE_3,
@@ -336,7 +329,7 @@ THEOREMS: dict[str, Theorem] = {
             _PLANAR,
             Hypothesis("has-low-degree-sum-edge", _no_light_edge),
         ),
-        partial(_upper_bound, bound=lambda g: g.max_degree() + 3),
+        lambda g: g.max_degree() + 3,
     ),
     "config-g4": Theorem((_CONNECTED, _MIN_DEGREE_3, _GIRTH_4, _PLANAR), _config_g4),
     # not-planar is checked by the judge, on the embedding it needs
@@ -349,11 +342,11 @@ def evaluate_theorem(tag: str, g: Graph, work_budget: int | None = None) -> Grap
     """Judge one graph against one tagged claim."""
     if tag not in THEOREMS:
         raise ValueError(f"unknown theorem tag {tag!r}")
-    hypotheses, judge = THEOREMS[tag]
-    for reason, holds in hypotheses:
-        if not holds(g):
-            return _skip(tag, g, reason)
-    return judge(tag, g, work_budget)
+    row = THEOREMS[tag]
+    reason = _unmet(row.hypotheses, g)
+    if reason is not None:
+        return _skip(tag, g, reason)
+    return row.judge(tag, g, work_budget)
 
 
 def _map(fn, graphs: list[Graph], jobs: int) -> list:
@@ -416,37 +409,43 @@ class BoundCheck:
     b_t: float | None
 
 
+def _triangle_at(g: Graph, vertices) -> bool:
+    """Whether one of `vertices` lies on a triangle."""
+    return any(g.adj[v] & g.adj[u] for v in vertices for u in _bits(g.adj[v]))
+
+
+# The rows of `bounds`, in its column order: four order bounds on
+# connected graphs, then two tree bounds that are also campaign tags.
+_ORDER_4 = (_CONNECTED, Hypothesis("order-below-4", lambda g: g.n >= 4))
+PRIOR_BOUNDS: dict[str, Bound] = {
+    "order-girth5": Bound((*_ORDER_4, Hypothesis(
+        "acyclic-or-girth-below-5", lambda g: 5 <= g.girth() < math.inf)), lambda g: g.n - 1),
+    "order-girth4": Bound((*_ORDER_4, Hypothesis(
+        "girth-not-4", lambda g: g.girth() == 4)), lambda g: g.n - 2),
+    "order-triangle-support": Bound((*_ORDER_4, Hypothesis(
+        "no-triangle-at-a-support-vertex", lambda g: _triangle_at(g, g.support_vertices()))),
+        lambda g: g.n - 2),
+    "order-triangle-deg2": Bound((*_ORDER_4, Hypothesis(
+        "no-triangle-at-a-degree-2-vertex", lambda g: _triangle_at(
+            g, (v for v in range(g.n) if g.degree(v) == 2)))), lambda g: g.n - 1),
+    "tree-sridharan": THEOREMS["thm-tree-sridharan"],
+    "tree-rad": THEOREMS["thm-tree-rad"],
+}
+
+
 def verify_prior_bounds(g: Graph, work_budget: int | None = None) -> tuple[BoundCheck, ...]:
-    """Evaluate the published order, tree and degree bounds against exact b_t."""
+    """Judge the six Bound rows of PRIOR_BOUNDS from one uncapped certificate,
+    each through `_within`; a row whose hypotheses g misses is not-applicable."""
     cert = bondage(g, work_budget=work_budget)
     # None: only decided up to cert.cap
     value = None if cert.status == "unknown-above-cap" else cert.value()
-    checks: list[BoundCheck] = []
-
-    def add(name: str, applicable: bool, bound: int | None) -> None:
-        if not applicable:
-            checks.append(BoundCheck(name, "not-applicable", None, value))
-            return
-        within = _within(cert, bound)
-        status = "unresolved" if within is None else HOLDS if within else VIOLATED
+    checks = []
+    for name, row in PRIOR_BOUNDS.items():
+        if _unmet(row.hypotheses, g) is None:
+            bound = row.bound(g)
+            within = _within(cert, bound)
+            status = "unresolved" if within is None else HOLDS if within else VIOLATED
+        else:
+            bound, status = None, "not-applicable"
         checks.append(BoundCheck(name, status, bound, value))
-
-    girth = g.girth()
-    order_ok = g.is_connected() and g.n >= 4
-    add("order-girth5", order_ok and girth != math.inf and girth >= 5, g.n - 1)
-    add("order-girth4", order_ok and girth == 4, g.n - 2)
-    tri_support = False
-    tri_deg2 = False
-    if order_ok and girth == 3:
-        supports = g.support_vertices()
-        for tri in g.induced_cycles(3):
-            if any(v in supports for v in tri):
-                tri_support = True
-            if any(g.degree(v) == 2 for v in tri):
-                tri_deg2 = True
-    add("order-triangle-support", tri_support, g.n - 2)
-    add("order-triangle-deg2", tri_deg2, g.n - 1)
-    for name, (hypotheses, bound) in (("tree-sridharan", _TREE_SRIDHARAN), ("tree-rad", _TREE_RAD)):
-        applies = all(holds(g) for _, holds in hypotheses)
-        add(name, applies, bound(g) if applies else None)
     return tuple(checks)

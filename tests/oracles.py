@@ -311,6 +311,36 @@ def brute_girth(g: Graph) -> float:
     return best
 
 
+def prior_bound_rows(g: Graph) -> dict[str, int | None]:
+    """Each row of the `bounds` verb: its bound on g, or None where the row
+    does not apply.  The applicability is decided procedurally, from one
+    girth and two flags set by walking every triangle, as `bounds` did
+    before its rows became hypotheses of a table."""
+    girth = g.girth()
+    order_ok = g.is_connected() and g.n >= 4
+    tri_support = False
+    tri_deg2 = False
+    if order_ok and girth == 3:
+        supports = g.support_vertices()
+        for tri in g.induced_cycles(3):
+            if any(v in supports for v in tri):
+                tri_support = True
+            if any(g.degree(v) == 2 for v in tri):
+                tri_deg2 = True
+    tree = g.n >= 1 and g.m == g.n - 1 and g.is_connected()
+    star = tree and g.n >= 2 and g.max_degree() == g.n - 1
+    rows = {
+        "order-girth5": (order_ok and girth != math.inf and girth >= 5, g.n - 1),
+        "order-girth4": (order_ok and girth == 4, g.n - 2),
+        "order-triangle-support": (tri_support, g.n - 2),
+        "order-triangle-deg2": (tri_deg2, g.n - 1),
+        # K1 is the one tree with an isolated vertex
+        "tree-sridharan": (tree and g.n >= 2 and not star, min(g.max_degree(), (g.n - 1) // 3)),
+        "tree-rad": (tree and g.max_degree() >= 3 and not star, g.max_degree() - 1),
+    }
+    return {name: bound if applies else None for name, (applies, bound) in rows.items()}
+
+
 def prufer_tree(seq: tuple[int, ...]) -> Graph:
     """Decode a Prufer sequence over n-2 entries into a labeled tree."""
     n = len(seq) + 2

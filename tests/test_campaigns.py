@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import prior_bound_rows
 from totbond.bondage import BondageCertificate, bondage
 from totbond.campaigns import (
     HOLDS,
+    PRIOR_BOUNDS,
     SKIPPED,
     THEOREM_TAGS,
     THEOREMS,
@@ -21,12 +23,14 @@ from totbond.campaigns import (
     CampaignResult,
     GraphOutcome,
     _multipartite_parts,
+    _unmet,
     _within,
     evaluate_theorem,
     run_campaign,
     search_by_bondage,
     verify_prior_bounds,
 )
+from totbond.corpus import girth4_corpus, planar_min3_corpus
 from totbond.families import (
     complete,
     complete_bipartite,
@@ -38,6 +42,7 @@ from totbond.families import (
 )
 from totbond.formats import graph6_bytes
 from totbond.graphs import Graph
+from totbond.smallgraphs import enumerate_graph_classes
 from totbond.trees import enumerate_trees
 
 
@@ -304,6 +309,22 @@ class TestSearch:
 
 
 class TestPriorBounds:
+    # the rows each corpus meets at least once: the graphs with n <= 7 meet all six
+    @pytest.mark.parametrize("corpus,applied", [
+        (lambda: [g for n in range(1, 8) for g in enumerate_graph_classes(n)], set(PRIOR_BOUNDS)),
+        (lambda: tree_corpus(2, 10), {"tree-sridharan", "tree-rad"}),
+        (planar_min3_corpus, {"order-girth5", "order-girth4"}),
+        (lambda: [g for g in girth4_corpus() if g.n <= 24], {"order-girth4"}),
+    ], ids=["classes-1..7", "trees-2..10", "planar-min3", "girth4-n24"])
+    def test_rows_match_the_applicability_oracle(self, corpus, applied):
+        seen = set()
+        for g in corpus():
+            rows = [(name, None if _unmet(row.hypotheses, g) else row.bound(g))
+                    for name, row in PRIOR_BOUNDS.items()]
+            assert rows == list(prior_bound_rows(g).items()), graph6_bytes(g)
+            seen.update(name for name, bound in rows if bound is not None)
+        assert seen == applied
+
     def test_p7(self):
         by = checks_by_name(path(7))
         assert by["tree-rad"].status == "not-applicable"

@@ -12,7 +12,11 @@ unpacked graph6 one bit at a time, traced each face from the least
 unused dart, kept the charge ledger in Fractions and walked the BFS tree
 edge by edge for the girth.  Each change only skips work whose outcome
 is already known or restates the same rules, so every record, down to
-the witness sets the search finds first, must come out the same.
+the witness sets the search finds first, must come out the same.  The
+all-tags campaign and bounds hashes also predate the `Bound` rows: every
+upper bound became one row that a campaign tag and `bounds` both read,
+and `bounds` decides where its six rows apply from their hypotheses
+instead of its own girth and triangle tests.
 """
 
 import hashlib
