@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from . import planar
 from .bondage import BondageCertificate, bondage
-from .formats import edges_text, graph6_bytes
+from .formats import edges_text, graph6_bytes, record_line
 from .graphs import Graph, _bits
 from .smallgraphs import is_isomorphic
 from .families import star, subdivided_star
@@ -41,15 +41,8 @@ class GraphOutcome:
     detail: tuple[tuple[str, object], ...] = ()
 
     def record(self) -> str:
-        parts = [
-            f"RECORD theorem={self.theorem}",
-            f"graph={self.graph6}",
-            f"n={self.n}",
-            f"m={self.m}",
-            f"status={self.status}",
-        ]
-        parts.extend(f"{k}={v}" for k, v in self.detail)
-        return " ".join(parts)
+        head = [("theorem", self.theorem), ("graph", self.graph6), ("n", self.n), ("m", self.m)]
+        return record_line("RECORD", [*head, ("status", self.status), *self.detail])
 
 
 @dataclass(frozen=True)
@@ -74,10 +67,9 @@ class CampaignResult:
         return sum(1 for o in self.outcomes if o.status == SKIPPED)
 
     def summary(self) -> str:
-        return (
-            f"SUMMARY theorem={self.theorem} checked={self.checked} "
-            f"holds={self.holds} violations={self.violations} skipped={self.skipped}"
-        )
+        return record_line("SUMMARY", [
+            ("theorem", self.theorem), ("checked", self.checked), ("holds", self.holds),
+            ("violations", self.violations), ("skipped", self.skipped)])
 
     def records(self) -> list[str]:
         return [o.record() for o in self.outcomes] + [self.summary()]
@@ -232,7 +224,7 @@ class Bound(NamedTuple):
         if cert.status == "finite":
             detail.append(("witness", edges_text(cert.witness)))
         elif cert.status == "infinite":
-            detail.append(("criterion", cert.criterion.replace(" ", "-")))
+            detail.append(("criterion", cert.criterion))
         elif cert.cap >= g.m:  # no edge set of any size works
             detail.append(("note", "exhausted-all-edge-subsets"))
         return _outcome(tag, g, HOLDS if within else VIOLATED, detail)

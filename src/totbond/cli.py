@@ -1,18 +1,19 @@
 """Command line front end.
 
 Verbs: gen, gamma-t, bondage, witness, detect, discharge, campaign,
-search, bounds.  All output is line-oriented text records keyed by full
-graph6 strings so any line can be replayed.  Campaign runs exit with
-status 1 when a claim is violated.
+search, bounds.  All output is line-oriented text records, each written
+by `formats.record_line` and keyed by the full graph6 string so any line
+can be replayed.  Campaign runs exit with status 1 when a claim is
+violated.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
+from functools import partial
 
 from .bondage import bondage
 from .campaigns import (
@@ -25,7 +26,8 @@ from .corpus import girth4_corpus, planar_min3_corpus
 from .domination import gamma_t
 from .embedding import Embedding
 from .families import FamilySpec, cycle, path
-from .formats import FormatError, edges_text, graph6_bytes, parse_graphs, read_graphs
+from .formats import (
+    FormatError, edges_text, graph6_bytes, parse_graphs, read_graphs, record_line)
 from .graphs import Graph, IsolatedVertexError
 from .trees import check_tree_order, enumerate_trees
 from .witnesses import (
@@ -55,10 +57,6 @@ _BUDGET_HELP = (
 
 def _g6(g: Graph) -> str:
     return graph6_bytes(g).decode("ascii")
-
-
-def _slug(exc: BaseException) -> str:
-    return str(exc).replace(" ", "-")
 
 
 def _malformed(path: str, exc: FormatError) -> SystemExit:
@@ -153,45 +151,43 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gamma_t(args: argparse.Namespace) -> int:
+def _per_graph(kind: str, fields, args: argparse.Namespace) -> int:
+    """One `kind` record per input graph: graph, n and m, then `fields(args, g)`,
+    or error=isolated-vertex where neither gamma_t nor b_t is defined."""
     for g in _load_inputs(args.input):
         try:
-            cert = gamma_t(g)
+            rest = fields(args, g)
         except IsolatedVertexError:
-            print(f"GAMMA graph={_g6(g)} n={g.n} m={g.m} error=isolated-vertex")
-            continue
-        witness = ",".join(str(v) for v in sorted(cert.witness)) or "-"
-        print(f"GAMMA graph={_g6(g)} n={g.n} m={g.m} gamma_t={cert.value} witness={witness}")
+            rest = [("error", "isolated-vertex")]
+        print(record_line(kind, [("graph", _g6(g)), ("n", g.n), ("m", g.m), *rest]))
     return 0
 
 
-def _fmt_inf(x) -> str:
-    return "inf" if x == math.inf else str(x)
+def _gamma_t_fields(args: argparse.Namespace, g: Graph) -> list:
+    cert = gamma_t(g)
+    witness = ",".join(str(v) for v in sorted(cert.witness)) or "-"
+    return [("gamma_t", cert.value), ("witness", witness)]
 
 
-def _cmd_bondage(args: argparse.Namespace) -> int:
-    for g in _load_inputs(args.input):
-        try:
-            cert = bondage(g, cap=args.cap, work_budget=args.work_budget)
-        except IsolatedVertexError:
-            print(f"BONDAGE graph={_g6(g)} n={g.n} m={g.m} error=isolated-vertex")
-            continue
-        parts = [
-            f"BONDAGE graph={_g6(g)}",
-            f"n={g.n}",
-            f"m={g.m}",
-            f"status={cert.status}",
-            f"gamma_before={cert.gamma_before}",
-        ]
-        if cert.status == "finite":
-            ws = edges_text(cert.witness)
-            parts += [f"b_t={cert.b_t}", f"witness={ws}", f"gamma_after={cert.gamma_after}"]
-        elif cert.status == "infinite":
-            parts += ["b_t=inf", f"criterion={cert.criterion.replace(' ', '-')}"]
-        else:
-            parts += [f"cap={cert.cap}"]
-        print(" ".join(parts))
-    return 0
+def _bondage_fields(args: argparse.Namespace, g: Graph) -> list:
+    cert = bondage(g, cap=args.cap, work_budget=args.work_budget)
+    fields = [("status", cert.status), ("gamma_before", cert.gamma_before)]
+    if cert.status == "finite":
+        witness = edges_text(cert.witness)
+        fields += [("b_t", cert.b_t), ("witness", witness), ("gamma_after", cert.gamma_after)]
+    elif cert.status == "infinite":
+        fields += [("b_t", "inf"), ("criterion", cert.criterion)]
+    else:
+        fields.append(("cap", cert.cap))
+    return fields
+
+
+def _bounds_fields(args: argparse.Namespace, g: Graph) -> list:
+    checks = verify_prior_bounds(g, work_budget=args.work_budget)
+    b_t = checks[0].b_t  # math.inf writes as "inf"
+    return [("b_t", "undecided" if b_t is None else b_t)] + [
+        (c.name, c.status if c.bound is None else f"{c.status}:{c.bound}") for c in checks
+    ]
 
 
 def _ints(flag: str, text: str) -> tuple[int, ...]:
@@ -201,17 +197,24 @@ def _ints(flag: str, text: str) -> tuple[int, ...]:
         raise SystemExit(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    def emit(report) -> None:
-        anchors = ",".join(str(v) for v in report.anchors) or "-"
-        print(
-            f"WITNESS rule={report.rule} graph={report.graph6} anchors={anchors} "
-            f"verdict={report.verdict} claimed={report.claimed_bound} "
-            f"observed={report.observed_size} gamma_before={report.gamma_before} "
-            f"gamma_after={report.gamma_after} edges={edges_text(report.edges)}"
-            + (f" reason={report.reason.replace(' ', '-')}" if report.reason else "")
-        )
+def _witness_record(report) -> str:
+    fields = [
+        ("rule", report.rule),
+        ("graph", report.graph6),
+        ("anchors", ",".join(str(v) for v in report.anchors) or "-"),
+        ("verdict", report.verdict),
+        ("claimed", report.claimed_bound),
+        ("observed", report.observed_size),
+        ("gamma_before", report.gamma_before),
+        ("gamma_after", report.gamma_after),
+        ("edges", edges_text(report.edges)),
+    ]
+    if report.reason:
+        fields.append(("reason", report.reason))
+    return record_line("WITNESS", fields)
 
+
+def _cmd_witness(args: argparse.Namespace) -> int:
     # every flag is checked before any input is read or any record printed
     rules = args.rules.split(",") if args.rules else None
     for rule in rules or ():
@@ -219,6 +222,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             raise SystemExit(f"unknown witness rule {rule!r}")
     anchors = _ints("--anchors", args.anchors) if args.anchors else None
     parts = _ints("--parts", args.parts) if args.parts else None
+    if args.scan and (args.rule or anchors):
+        raise SystemExit("--scan applies every rule: pass no --rule or --anchors with it")
     if args.rule == "multipartite":
         if not parts:
             raise SystemExit("multipartite rule needs --parts like 3,2,2")
@@ -226,27 +231,27 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             _, report = witness_multipartite(parts)
         except ValueError as exc:
             raise SystemExit(f"--parts {args.parts!r}: {exc}") from None
-        emit(report)
+        print(_witness_record(report))
         return 0
-    if not args.scan and args.rule and anchors:
+    if not args.scan:
+        if not (args.rule and anchors):
+            raise SystemExit("pass --scan, or --rule with --anchors")
         try:
             check_anchor_count(args.rule, anchors)
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
-    graphs = _load_inputs(args.input) if args.input else []
-    if not graphs:
+    if not args.input:
         raise SystemExit("witness needs an input file (or --rule multipartite --parts ...)")
-    if not args.scan and not (args.rule and anchors):
-        raise SystemExit("pass --scan, or --rule with --anchors")
-    for g in graphs:
+    for g in _load_inputs(args.input):
         if args.scan:
             for report in scan_witnesses(g, rules):
-                emit(report)
-        else:
-            try:
-                emit(apply_rule(g, args.rule, anchors))
-            except ValueError as exc:  # an anchor out of range for this graph
-                print(f"WITNESS rule={args.rule} graph={_g6(g)} n={g.n} m={g.m} error={_slug(exc)}")
+                print(_witness_record(report))
+            continue
+        try:
+            print(_witness_record(apply_rule(g, args.rule, anchors)))
+        except ValueError as exc:  # an anchor out of range for this graph
+            fields = [("rule", args.rule), ("graph", _g6(g)), ("n", g.n), ("m", g.m)]
+            print(record_line("WITNESS", [*fields, ("error", exc)]))
     return 0
 
 
@@ -274,33 +279,25 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     for g, emb in pairs:
         g6 = _g6(g)
         for rule in rules:
-            if rule == "g4":
-                try:
+            fields = [("rule", rule), ("graph", g6)]
+            try:
+                if rule == "g4":
                     report = detect_girth4_config(g)
-                except ValueError as exc:
-                    print(f"DETECT rule=g4 graph={g6} error={_slug(exc)}")
-                    continue
-                found = ",".join(report.tags) or "-"
-                print(
-                    f"DETECT rule=g4 graph={g6} n={g.n} m={g.m} "
-                    f"found={found} at_least_one={str(report.at_least_one).lower()}"
-                )
-            else:
-                if emb is None:
-                    print(f"DETECT rule=borodin graph={g6} error=not-planar")
-                    continue
-                try:
+                elif emb is None:
+                    raise ValueError("not planar")
+                else:
                     report = detect_borodin(emb, args.reading)
-                except ValueError as exc:
-                    print(f"DETECT rule=borodin graph={g6} error={_slug(exc)}")
-                    continue
-                found = ",".join(report.tags) or "-"
-                print(
-                    f"DETECT rule=borodin graph={g6} n={g.n} m={g.m} "
-                    f"reading={args.reading} found={found} "
-                    f"at_least_one={str(report.at_least_one).lower()} "
-                    f"skipped_faces={len(report.skipped_faces)}"
-                )
+            except ValueError as exc:
+                fields.append(("error", exc))
+            else:
+                found = [("found", ",".join(report.tags) or "-"),
+                         ("at_least_one", str(report.at_least_one).lower())]
+                if rule == "g4":
+                    fields += [("n", g.n), ("m", g.m), *found]
+                else:
+                    fields += [("n", g.n), ("m", g.m), ("reading", args.reading), *found,
+                               ("skipped_faces", len(report.skipped_faces))]
+            print(record_line("DETECT", fields))
     return 0
 
 
@@ -309,22 +306,20 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
 
     for g, emb in _load_with_embeddings(args.input):
         if emb is None:
-            print(f"DISCHARGE graph={_g6(g)} error=not-planar")
+            print(record_line("DISCHARGE", [("graph", _g6(g)), ("error", "not-planar")]))
             continue
         try:
             ledger = discharge_audit(emb)
-            rule = (
-                f" total_final={ledger.total_final}"
-                f" transfers={len(ledger.transfers)}"
-                f" negative_final={str(ledger.has_negative_final).lower()}"
-            )
+            rule = [
+                ("total_final", ledger.total_final),
+                ("transfers", len(ledger.transfers)),
+                ("negative_final", str(ledger.has_negative_final).lower()),
+            ]
         except ValueError:  # min degree below 3 or girth below 4
             ledger = charge_ledger(emb)
-            rule = " rule=not-applicable"
-        print(
-            f"DISCHARGE graph={_g6(g)} n={g.n} m={g.m} faces={len(emb.faces)} "
-            f"total_initial={ledger.total_initial}" + rule
-        )
+            rule = [("rule", "not-applicable")]
+        fields = [("graph", _g6(g)), ("n", g.n), ("m", g.m), ("faces", len(emb.faces))]
+        print(record_line("DISCHARGE", [*fields, ("total_initial", ledger.total_initial), *rule]))
         if args.full:
             for v, ci in enumerate(ledger.vertex_initial):
                 print(f"  vertex={v} initial={ci}")
@@ -348,24 +343,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     rows = search_by_bondage(corpus, args.bt, work_budget=args.work_budget, jobs=args.jobs)
     for row in rows:
         print(row.record())
-    print(f"SUMMARY search=bt target={args.bt} corpus={len(corpus)} matches={len(rows)}")
-    return 0
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    for g in _load_inputs(args.input):
-        try:
-            checks = verify_prior_bounds(g, work_budget=args.work_budget)
-        except IsolatedVertexError:
-            print(f"BOUNDS graph={_g6(g)} n={g.n} m={g.m} error=isolated-vertex")
-            continue
-        rendered = " ".join(
-            f"{c.name}={c.status}"
-            + (f":{c.bound}" if c.bound is not None else "")
-            for c in checks
-        )
-        bval = checks[0].b_t
-        print(f"BOUNDS graph={_g6(g)} n={g.n} m={g.m} b_t={_fmt_inf(bval) if bval is not None else 'undecided'} {rendered}")
+    summary = [("search", "bt"), ("target", args.bt), ("corpus", len(corpus)), ("matches", len(rows))]
+    print(record_line("SUMMARY", summary))
     return 0
 
 
@@ -388,13 +367,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gamma-t", help="exact total domination numbers")
     p.add_argument("input", help="graph file (graph6 or edge list), or - for stdin")
-    p.set_defaults(func=_cmd_gamma_t)
+    p.set_defaults(func=partial(_per_graph, "GAMMA", _gamma_t_fields))
 
     p = sub.add_parser("bondage", help="exact total bondage numbers with certificates")
     p.add_argument("input")
     p.add_argument("--cap", type=int, help="largest deletion size to search")
     p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
-    p.set_defaults(func=_cmd_bondage)
+    p.set_defaults(func=partial(_per_graph, "BONDAGE", _bondage_fields))
 
     p = sub.add_parser("witness", help="build and replay bondage edge-set witnesses")
     p.add_argument("input", nargs="?", help="graph file; omit for --rule multipartite")
@@ -433,7 +412,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("bounds", help="check published bounds against exact values")
     p.add_argument("input")
     p.add_argument("--work-budget", type=int, help=_BUDGET_HELP)
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=partial(_per_graph, "BOUNDS", _bounds_fields))
 
     args = parser.parse_args(argv)
     counts = (("cap", 0), ("work_budget", 0), ("bt", 0), ("max_edges", 0), ("jobs", 1))

@@ -201,6 +201,13 @@ def edges_text(edges) -> str:
     return ",".join(f"{u}-{v}" for u, v in sorted(edges)) or "-"
 
 
+def record_line(kind: str, fields) -> str:
+    """One CLI record: the kind, then a `key=value` token per (key, value)
+    pair, joined by spaces.  A value is written with str(), and any space
+    in it becomes a dash, so each field stays one token."""
+    return " ".join([kind, *(f"{k}=" + str(v).replace(" ", "-") for k, v in fields)])
+
+
 # -- planar_code ----------------------------------------------------------------
 
 
@@ -290,8 +297,10 @@ def parse_graphs(data: bytes, path: str | None = None) -> list[Graph] | list[Emb
     A planar_code stream gives its embeddings, each with its graph as
     `.graph`, so the rotations it stores are kept; every other format
     gives graphs.  `path`, when known, only lends its extension to the
-    sniffing.
+    sniffing.  Empty or blank data holds no graphs.
     """
+    if not data or data.isspace():
+        return []
     fmt = sniff_format(data, path)
     if fmt == "graph6":
         return list(iter_graph6(io.BytesIO(data)))

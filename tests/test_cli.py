@@ -2,6 +2,7 @@
 process where a pipe is involved."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -163,6 +164,16 @@ class TestScalarCommands:
         out = capsys.readouterr().out.splitlines()
         assert out == [f"{tag} graph={g6(k2_k1)} n=3 m=1 error=isolated-vertex"]
 
+    @pytest.mark.parametrize("verb", ["gamma-t", "bondage", "bounds", "detect", "discharge"])
+    @pytest.mark.parametrize("data", [b"", b"\n \n"], ids=["empty", "blank"])
+    def test_empty_stdin_prints_nothing(self, capsys, monkeypatch, verb, data):
+        import io
+
+        # what `gen ... | grep ... | totbond <verb> -` reads when grep matches nothing
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main([verb, "-"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_bounds_isolated_vertex(self, capsys, graph_file):
         k1, empty3 = Graph(1, (0,)), Graph(3, (0, 0, 0))
         assert main(["bounds", graph_file(k1, path(7), empty3)]) == 0
@@ -225,6 +236,40 @@ class TestWitness:
     def test_missing_input_file_is_clean_error(self):
         with pytest.raises(SystemExit, match="no such input file"):
             main(["gamma-t", "/tmp/totbond-no-such-file.g6"])
+
+    @pytest.mark.parametrize("flags", [[], ["--rule", "cycle4"], ["--anchors", "0,1,2,3"]])
+    def test_no_mode_rejected_before_reading_input(self, capsys, monkeypatch, flags):
+        def no_read(path):
+            raise AssertionError(f"read {path!r}")
+
+        monkeypatch.setattr("totbond.cli._load_inputs", no_read)
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "/tmp/totbond-no-such-file.g6", *flags])
+        assert exc.value.code == "pass --scan, or --rule with --anchors"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--rule", "cycle4"],
+        ["--anchors", "0,1,2,3"],
+        ["--rule", "cycle4", "--anchors", "0,1,2,3"],
+        ["--rule", "multipartite", "--parts", "2,2"],
+    ])
+    def test_scan_with_rule_or_anchors_exits_with_one_line(self, capsys, graph_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", graph_file(cycle(4)), "--scan", *flags])
+        assert exc.value.code == "--scan applies every rule: pass no --rule or --anchors with it"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [["--scan"], ["--rule", "cycle4", "--anchors", "0,1,2,3"]])
+    def test_input_without_graphs_prints_nothing(self, capsys, tmp_path, flags):
+        empty = tmp_path / "empty.g6"
+        empty.write_bytes(b"")
+        assert main(["witness", str(empty), *flags]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_no_input_argument(self):
+        with pytest.raises(SystemExit, match="witness needs an input file"):
+            main(["witness", "--scan"])
 
 
 class TestMalformedInput:
@@ -545,3 +590,67 @@ class TestCorpusResolution:
     def test_tree_order_out_of_range(self, spec):
         with pytest.raises(SystemExit, match=f"in corpus spec '{spec}'$"):
             resolve_corpus(spec)
+
+
+class TestRecordGrammar:
+    """Every record of every verb: an upper-case kind, then key=value tokens."""
+
+    @staticmethod
+    def check(line):
+        kind, *tokens = line.split(" ")
+        assert re.fullmatch("[A-Z]+", kind), line
+        keys = []
+        for token in tokens:
+            key, _, value = token.partition("=")  # a criterion holds a second "="
+            assert key and value, line
+            keys.append(key)
+        assert len(keys) == len(set(keys)), line
+
+    def test_every_verb(self, capsys, graph_file):
+        from totbond.campaigns import THEOREM_TAGS
+        from totbond.corpus import cube
+        from totbond.families import complete, complete_multipartite, star
+
+        f = graph_file(
+            path(1), path(2), path(6), cycle(3), cycle(4), cycle(5), star(3), complete(4),
+            complete_multipartite((3, 3)), complete_multipartite((2, 2, 2)), cube(),
+        )
+        argvs = [
+            ["gamma-t", f],
+            ["bondage", f],
+            ["bondage", f, "--cap", "1"],
+            ["bounds", f],
+            ["bounds", f, "--work-budget", "3"],
+            ["search", "--bt", "1", "--corpus", f],
+            ["search", "--bt", "2", "--corpus", f],
+            ["witness", f, "--scan"],
+            ["witness", f, "--rule", "cycle4", "--anchors", "0,1,2,3"],
+            ["witness", f, "--rule", "deg2-dist3", "--anchors", "0,5"],
+            ["witness", "--rule", "multipartite", "--parts", "3,2,2"],
+            ["detect", f, "--reading", "at-most"],
+            ["detect", f, "--reading", "exact"],
+            ["discharge", f],
+            ["discharge", f, "--full"],
+        ]
+        argvs += [["campaign", "--theorem", tag, "--corpus", f, "--work-budget", "20000"]
+                  for tag in THEOREM_TAGS]
+        lines = []
+        for argv in argvs:
+            assert main(argv) in (0, 1)  # a campaign with a violation exits 1
+            lines += [ln for ln in capsys.readouterr().out.splitlines()
+                      if not ln.startswith("  ")]  # discharge --full's indented rows
+        assert len(lines) > 300
+        for line in lines:
+            self.check(line)
+        errors = {t for ln in lines for t in ln.split() if t.startswith("error=")}
+        assert {"error=isolated-vertex", "error=not-planar", "error=vertex-3-out-of-range",
+                "error=detector-requires-minimum-degree-3"} <= errors
+        assert "criterion=2*max_matching-<=-gamma_t" in " ".join(lines).split()
+
+    @pytest.mark.parametrize("line", [
+        "bondage graph=Bw", "BONDAGE graph=", "BONDAGE =Bw", "BONDAGE graph",
+        "BONDAGE graph=Bw graph=Bw", "BONDAGE graph=Bw  n=3",
+    ])
+    def test_check_rejects(self, line):
+        with pytest.raises(AssertionError):
+            self.check(line)

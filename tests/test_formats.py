@@ -31,6 +31,7 @@ from totbond.formats import (
     parse_graph6,
     parse_graphs,
     read_graphs,
+    record_line,
     sniff_format,
 )
 from totbond.graphs import Graph
@@ -327,6 +328,14 @@ class TestDispatch:
         assert parse_graphs(buf.getvalue()) == read_graphs(str(p)) == [path(4), cycle(6)]
         assert parse_graphs(b"0 1\n1 2\n") == [path(3)]
 
+    @pytest.mark.parametrize("data", [b"", b"\n", b" \n\t\r\n"])
+    def test_empty_or_blank_data_holds_no_graphs(self, tmp_path, data):
+        # not one edge list of zero vertices
+        assert parse_graphs(data) == []
+        p = tmp_path / "blank"
+        p.write_bytes(data)
+        assert read_graphs(str(p)) == []
+
     def test_planar_code_file(self, tmp_path):
         from totbond.corpus import cube
         from totbond.planar import planar_embedding
@@ -338,3 +347,14 @@ class TestDispatch:
         got = read_graphs(str(p))
         assert got == [emb]
         assert got[0].graph == cube()
+
+
+class TestRecordLine:
+    def test_kind_then_fields(self):
+        fields = [("graph", "Bw"), ("n", 3), ("b_t", float("inf"))]
+        assert record_line("BONDAGE", fields) == "BONDAGE graph=Bw n=3 b_t=inf"
+        assert record_line("SUMMARY", []) == "SUMMARY"
+
+    def test_spaces_in_a_value_become_dashes(self):
+        fields = [("criterion", "2*max_matching <= gamma_t"), ("error", ValueError("not planar"))]
+        assert record_line("X", fields) == "X criterion=2*max_matching-<=-gamma_t error=not-planar"

@@ -16,7 +16,9 @@ the witness sets the search finds first, must come out the same.  The
 all-tags campaign and bounds hashes also predate the `Bound` rows: every
 upper bound became one row that a campaign tag and `bounds` both read,
 and `bounds` decides where its six rows apply from their hypotheses
-instead of its own girth and triangle tests.
+instead of its own girth and triangle tests.  The bondage and search
+hashes are from the code that wrote each CLI record with its own
+f-string, before one writer formatted every record.
 """
 
 import hashlib
@@ -240,3 +242,45 @@ def test_witness_records_mixed(tmp_path, capsys):
         assert main(argv) == 0
         out.append(capsys.readouterr().out)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == WITNESS_MIXED
+
+
+# The bondage sweep at the campaign budget on planar-min3, and a mixed file
+# that reaches every BONDAGE record: C3 is infinite, P1 has an isolated
+# vertex, and at cap 1 most trees are unknown above it.
+BONDAGE_RECORDS = {
+    "planar-min3": "efc7f29e3f10254f2b152e1929a6f5d5efb045920ff59d0e3a42ab9e6474bb35",
+    "mixed": "e8e7b6d6357c5f876f6c9fdd297af953511f989c69782ebb42e0ba1460d0a93d",
+    "mixed-cap1": "eb91d1b933d8835a58188a3ce837f01ec7cbe98b1907e3eeb96589bc494c7b2a",
+}
+
+
+@pytest.fixture(scope="module")
+def bondage_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bondage")
+    mixed = [cycle(3), path(1)] + [g for n in range(5, 10) for g in enumerate_trees(n)]
+    return {
+        "planar-min3": _write(d, "planar-min3.g6", planar_min3_corpus()),
+        "mixed": _write(d, "mixed.g6", mixed),
+    }
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("planar-min3", ["--work-budget", "200000"]),
+    ("mixed", []),
+    ("mixed-cap1", ["--cap", "1"]),
+])
+def test_bondage_records(capsys, bondage_files, name, flags):
+    f = bondage_files[name.removesuffix("-cap1")]
+    assert _digest(capsys, ["bondage", f, *flags]) == BONDAGE_RECORDS[name]
+
+
+SEARCH_BT2_RECORDS = {
+    "trees:5..9": "348d22e436eab285938868f7721df7be8b4dec057fea260e10320602c22ff607",
+    "cycles:4..12": "0f824650618b5f047aa297456e1b290ff9baecff13223f073e915b37b9b0c4c9",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SEARCH_BT2_RECORDS))
+def test_search_records(capsys, corpus):
+    argv = ["search", "--bt", "2", "--corpus", corpus, "--jobs", "1"]
+    assert _digest(capsys, argv) == SEARCH_BT2_RECORDS[corpus]
