@@ -13,7 +13,6 @@ graphs as skipped rather than guessing.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -346,6 +345,9 @@ def _map(fn, graphs: list[Graph], jobs: int) -> list:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1 and len(graphs) > 1:
+        # imported here, so that a run on one process never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, graphs))
     return [fn(g) for g in graphs]

@@ -34,6 +34,7 @@ from .witnesses import (
     RULES,
     apply_rule,
     check_anchor_count,
+    check_parts,
     scan_witnesses,
     witness_multipartite,
 )
@@ -215,23 +216,31 @@ def _witness_record(report) -> str:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    # every flag is checked before any input is read or any record printed
+    # every flag is checked before any input is read or any record printed:
+    # first each flag's own value, then how the flags go together
     rules = args.rules.split(",") if args.rules else None
     for rule in rules or ():
         if rule not in RULES:
             raise SystemExit(f"unknown witness rule {rule!r}")
     anchors = _ints("--anchors", args.anchors) if args.anchors else None
     parts = _ints("--parts", args.parts) if args.parts else None
-    if args.scan and (args.rule or anchors):
-        raise SystemExit("--scan applies every rule: pass no --rule or --anchors with it")
-    if args.rule == "multipartite":
-        if not parts:
-            raise SystemExit("multipartite rule needs --parts like 3,2,2")
+    if parts:
         try:
-            _, report = witness_multipartite(parts)
+            check_parts(parts)
         except ValueError as exc:
             raise SystemExit(f"--parts {args.parts!r}: {exc}") from None
-        print(_witness_record(report))
+    if args.scan and (args.rule or anchors):
+        raise SystemExit("--scan applies every rule: pass no --rule or --anchors with it")
+    if rules and not args.scan:
+        raise SystemExit("--rules picks the rules of --scan: pass it only with --scan")
+    if parts and args.rule != "multipartite":
+        raise SystemExit("--parts applies only to --rule multipartite")
+    if args.rule == "multipartite":
+        if anchors or args.input:
+            raise SystemExit("--rule multipartite takes --parts, not --anchors or an input file")
+        if not parts:
+            raise SystemExit("multipartite rule needs --parts like 3,2,2")
+        print(_witness_record(witness_multipartite(parts)[1]))
         return 0
     if not args.scan:
         if not (args.rule and anchors):

@@ -24,16 +24,22 @@ the bounds of the rest reach `top`: the join cannot beat the greedy
 answer.  The last class starts at least minus the size of the join so
 far, since below `least` any cover that fits is an answer.
 
-`_cover_search` branches on an uncovered vertex with the fewest
-coverers.  It prunes a node by a packing bound (Henning & Yeo, Total
-Domination in Graphs, 2013): walking the uncovered vertices in ascending
-degree order, keep each one whose neighborhood is disjoint from those
-kept so far; each kept vertex needs a dominator of its own.  A max-gain
-bound (budget times the largest coverage must reach the uncovered count)
-catches the dense cases.  Both bounds cut only subtrees that hold no
-cover, so every depth finds the same first cover.  The witness of
-`gamma_t` is the greedy cover when that is minimum, else the join of
-each class's first cover at that class's minimum.
+A `_cover_search` node makes one walk over the uncovered entries of its
+degree order, ascending with ties by vertex, and hands the children
+those live entries as their order: a child's uncovered set is part of
+its parent's.  The walk gives a packing bound (Henning & Yeo, Total
+Domination in Graphs, 2013): keep each uncovered vertex whose
+neighborhood is disjoint from those kept so far; each kept vertex needs
+a dominator of its own.  It also collects the coverers of the uncovered
+vertices, and a max-gain bound (budget times some coverer's coverage
+must reach the uncovered count) tests only those, since no other vertex
+covers anything uncovered.  It catches the dense cases.  The node
+branches on the first live entry, the lowest uncovered vertex of least
+degree, so of fewest coverers, as no uncovered vertex has degree 0.
+Both bounds cut only subtrees that hold no cover, so every depth finds
+the same first cover.  The witness of `gamma_t` is the greedy cover
+when that is minimum, else the join of each class's first cover at that
+class's minimum.
 """
 
 from __future__ import annotations
@@ -87,10 +93,10 @@ def _greedy_cover(adj: list[int], uncovered: int, limit: int) -> list[int] | Non
 
 
 def _packing_order(adj: list[int]) -> list[tuple[int, int]]:
-    # (vertex bit, neighborhood) pairs by ascending degree: low-degree
-    # vertices first leave the most room for further disjoint picks
-    order = sorted(range(len(adj)), key=lambda v: adj[v].bit_count())
-    return [(1 << v, adj[v]) for v in order]
+    # (vertex bit, neighborhood) pairs by ascending degree, ties by vertex:
+    # low-degree vertices first leave the most room for further disjoint picks
+    degree = list(map(int.bit_count, adj))
+    return [(1 << v, adj[v]) for v in sorted(range(len(adj)), key=degree.__getitem__)]
 
 
 def _packing(order: list[tuple[int, int]], uncovered: int, stop: int) -> int:
@@ -110,38 +116,47 @@ def _packing(order: list[tuple[int, int]], uncovered: int, stop: int) -> int:
 def _cover_search(
     adj: list[int], order: list[tuple[int, int]], uncovered: int, budget: int, chosen: list[int]
 ) -> list[int] | None:
-    """Find <= budget vertices whose neighborhoods cover `uncovered`, else None."""
+    """Find <= budget vertices whose neighborhoods cover `uncovered`, else None.
+
+    `order` holds every uncovered vertex, in `_packing_order`'s order, and
+    none of them has degree 0: `gamma_t` and `exists_total_dominating_set`
+    reject isolated vertices, and the bondage sweep never solves a G - U
+    that has one.
+    """
     if not uncovered:
         return list(chosen)
-    # budget >= 1: a budget-1 node passes the max-gain test only when one
-    # vertex covers `uncovered`, and it sorts first, so its child is a cover
-    if _packing(order, uncovered, budget) > budget:
+    # one walk over the uncovered entries of `order` gives the packing
+    # bound, the live entries that the children walk instead, and the
+    # coverers, that is every vertex that covers something uncovered
+    live = []
+    taken = coverers = count = 0
+    for entry in order:
+        bit, nb = entry
+        if uncovered & bit:
+            live.append(entry)
+            coverers |= nb
+            if not nb & taken:
+                count += 1
+                if count > budget:
+                    return None
+                taken |= nb
+    # max-gain bound: some coverer must cover a budget-th of `uncovered`.
+    # budget >= 1 here: a budget-1 node passes only when one vertex covers
+    # `uncovered`, and it sorts first, so its child is a cover
+    while coverers:
+        low = coverers & -coverers
+        if (adj[low.bit_length() - 1] & uncovered).bit_count() * budget >= len(live):
+            break
+        coverers ^= low
+    else:
         return None
-    max_gain = 0
-    for a in adj:
-        t = (a & uncovered).bit_count()
-        if t > max_gain:
-            max_gain = t
-    if max_gain * budget < uncovered.bit_count():
-        return None
-    # branch on the uncovered vertex with the fewest coverers: every
-    # cover must pick one of its neighbors
-    best_v = -1
-    best_c = -1
-    mm = uncovered
-    while mm:
-        low = mm & -mm
-        v = low.bit_length() - 1
-        mm ^= low
-        c = adj[v].bit_count()
-        if best_c < 0 or c < best_c:
-            best_v, best_c = v, c
-            if c <= 1:
-                break
-    cands = sorted(_bits(adj[best_v]), key=lambda u: -(adj[u] & uncovered).bit_count())
+    # branch on the first live entry, the lowest uncovered vertex of least
+    # degree, so of fewest coverers: every cover must pick one of them
+    v = live[0][0].bit_length() - 1
+    cands = sorted(_bits(adj[v]), key=lambda u: -(adj[u] & uncovered).bit_count())
     for u in cands:
         chosen.append(u)
-        got = _cover_search(adj, order, uncovered & ~adj[u], budget - 1, chosen)
+        got = _cover_search(adj, live, uncovered & ~adj[u], budget - 1, chosen)
         chosen.pop()
         if got is not None:
             return got
@@ -190,8 +205,8 @@ def _exists_cover(adj: list[int], full: int, size: int, least: int | None = None
     least = size if least is None else least
     if max(2, least) >= top:
         return best
-    delta = max(map(int.bit_count, adj))
     order = _packing_order(adj)
+    delta = order[-1][1].bit_count()
     # implied by the class bounds below, but it spares most small solves the split
     if max(-(-full.bit_count() // delta), _packing(order, full, size)) >= top:
         return best

@@ -297,7 +297,8 @@ def parse_graphs(data: bytes, path: str | None = None) -> list[Graph] | list[Emb
     A planar_code stream gives its embeddings, each with its graph as
     `.graph`, so the rotations it stores are kept; every other format
     gives graphs.  `path`, when known, only lends its extension to the
-    sniffing.  Empty or blank data holds no graphs.
+    sniffing.  Empty or blank data holds no graphs, and neither does an
+    edge list with no edge lines.
     """
     if not data or data.isspace():
         return []
@@ -305,5 +306,6 @@ def parse_graphs(data: bytes, path: str | None = None) -> list[Graph] | list[Emb
     if fmt == "graph6":
         return list(iter_graph6(io.BytesIO(data)))
     if fmt == "edge-list":
-        return [parse_edge_list(data)]
+        g = parse_edge_list(data)
+        return [g] if g.n else []
     return list(iter_planar_code(io.BytesIO(data)))

@@ -211,6 +211,19 @@ class Graph:
             frontier = nxt
         return inf
 
+    def ball(self, v: int, r: int) -> int:
+        """Mask of the vertices within distance r >= 0 of v."""
+        seen = frontier = 1 << v
+        for _ in range(r):
+            nxt = 0
+            for w in _bits(frontier):
+                nxt |= self.adj[w]
+            frontier = nxt & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+        return seen
+
     def girth(self):
         """Length of a shortest cycle, or math.inf for acyclic graphs.
 

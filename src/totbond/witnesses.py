@@ -103,7 +103,7 @@ def _incident(g: Graph, vs) -> set[Edge]:
 
 
 def _replay(rule: str, s: _Shared, anchors: tuple[int, ...], b: set[Edge], claimed: int) -> WitnessReport:
-    edges = frozenset(edge_key(u, v) for u, v in b)
+    edges = frozenset(b)  # every builder keys its edges with edge_key
     before = s.gamma
     h = s.g.delete_edges(edges)
     isolate_free = not h.has_isolated_vertex()
@@ -262,11 +262,14 @@ def _deg2_dist3(g: Graph, anchors: tuple[int, ...]) -> _Built:
 
 
 def _degree_pairs(g: Graph, degree: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Pairs of vertices of the given degree at distance lo..hi, in canonical order."""
+    """Pairs of vertices of the given degree at distance lo >= 1 to hi, in
+    canonical order.  Each anchor's ring at distance lo..hi is computed
+    only when the walk reaches that anchor."""
     vs = [v for v in range(g.n) if g.degree(v) == degree]
     for i, a in enumerate(vs):
+        ring = g.ball(a, hi) & ~g.ball(a, lo - 1)
         for b in vs[i + 1 :]:
-            if lo <= g.distance(a, b) <= hi:
+            if ring >> b & 1:
                 yield a, b
 
 
@@ -297,8 +300,7 @@ def witness_multipartite(sizes) -> tuple[Graph, WitnessReport]:
     2n - 2*n1 - 2 edges, and the replay records both.
     """
     parts = tuple(sorted(sizes, reverse=True))
-    if len(parts) < 2 or any(s < 1 for s in parts):
-        raise ValueError("need at least two parts of positive size")
+    check_parts(parts)
     g = complete_multipartite(parts)
     s = _Shared(g)
     n = g.n
@@ -339,6 +341,12 @@ def check_anchor_count(rule: str, anchors: tuple[int, ...]) -> None:
         raise ValueError(f"rule {rule!r} takes {entry.arity} anchors, got {len(anchors)}")
     if len(set(anchors)) != len(anchors):
         raise ValueError("anchor vertices must be distinct")
+
+
+def check_parts(sizes) -> None:
+    """Raise ValueError unless the multipartite rule can take these part sizes."""
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError("need at least two parts of positive size")
 
 
 def _apply(s: _Shared, rule: str, anchors: tuple[int, ...]) -> WitnessReport:

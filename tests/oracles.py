@@ -529,6 +529,20 @@ def deepening_gamma_t(g: Graph):
     return DominationCertificate(len(best), frozenset(best))
 
 
+def per_pair_degree_pairs(g: Graph, degree: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Pairs of vertices of the given degree at distance lo..hi, in
+    canonical order, by one `Graph.distance` search per pair.
+
+    The anchor finder `totbond.witnesses._degree_pairs` replaced; it must
+    yield the same pairs in the same order.
+    """
+    vs = [v for v in range(g.n) if g.degree(v) == degree]
+    for i, a in enumerate(vs):
+        for b in vs[i + 1 :]:
+            if lo <= g.distance(a, b) <= hi:
+                yield a, b
+
+
 # The graph6 codec that `totbond.formats` replaced: one Python step per bit
 # of the upper triangle.  The production codec must give the same bytes,
 # graphs and FormatError offsets.

@@ -260,11 +260,50 @@ class TestWitness:
         assert exc.value.code == "--scan applies every rule: pass no --rule or --anchors with it"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("with_input,flags,message", [
+        (
+            True,
+            ["--rules", "triangle", "--rule", "cycle4", "--anchors", "0,1,2,3"],
+            "--rules picks the rules of --scan: pass it only with --scan",
+        ),
+        (
+            True,
+            ["--rule", "cycle4", "--anchors", "0,1,2,3", "--parts", "2,2"],
+            "--parts applies only to --rule multipartite",
+        ),
+        (
+            False,
+            ["--rule", "multipartite", "--parts", "2,2", "--anchors", "0,1"],
+            "--rule multipartite takes --parts, not --anchors or an input file",
+        ),
+        (
+            True,
+            ["--rule", "multipartite", "--parts", "2,2"],
+            "--rule multipartite takes --parts, not --anchors or an input file",
+        ),
+    ])
+    def test_flags_the_mode_would_ignore_exit_with_one_line(self, capsys, monkeypatch, with_input, flags, message):
+        def no_read(path):
+            raise AssertionError(f"read {path!r}")
+
+        monkeypatch.setattr("totbond.cli._load_inputs", no_read)
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", *(["/tmp/totbond-no-such-file.g6"] if with_input else []), *flags])
+        assert exc.value.code == message
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("flags", [["--scan"], ["--rule", "cycle4", "--anchors", "0,1,2,3"]])
     def test_input_without_graphs_prints_nothing(self, capsys, tmp_path, flags):
         empty = tmp_path / "empty.g6"
         empty.write_bytes(b"")
         assert main(["witness", str(empty), *flags]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [["bondage"], ["witness", "--rule", "cycle4", "--anchors", "0,1,2,3"]])
+    def test_edge_list_of_comments_prints_nothing(self, capsys, tmp_path, argv):
+        comments = tmp_path / "none.el"
+        comments.write_bytes(b"# none\n")
+        assert main([argv[0], str(comments), *argv[1:]]) == 0
         assert capsys.readouterr().out == ""
 
     def test_no_input_argument(self):
@@ -485,6 +524,14 @@ class TestCampaign:
         )
         assert out[-1].startswith("SUMMARY theorem=thm-tree-sridharan checked=5 ")
 
+    def test_two_jobs_print_what_one_job_prints(self, capsys):
+        argv = ["campaign", "--theorem", "thm-tree-sridharan", "--corpus", "trees:1..7", "--jobs"]
+        assert main([*argv, "1"]) == 1
+        serial = capsys.readouterr().out
+        assert main([*argv, "2"]) == 1
+        assert capsys.readouterr().out == serial
+        assert len(serial.splitlines()) == 26
+
     def test_search(self, capsys):
         rc = main(["search", "--bt", "2", "--corpus", "cycles:4..7", "--jobs", "1"])
         assert rc == 0
@@ -552,6 +599,13 @@ def test_reader_leaving_early_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # in a fresh interpreter, since this one may have run a campaign on two jobs
+    code = "import sys, totbond.cli; sys.exit('concurrent.futures' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert run.returncode == 0
 
 
 class TestCorpusResolution:

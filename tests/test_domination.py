@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import brute_gamma_t, deepening_gamma_t, labelings
 from totbond import domination
-from totbond.corpus import girth4_corpus, icosahedron_incidence
+from totbond.bondage import bondage
+from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus
 from totbond.domination import (
     DominationCertificate,
     _coverer_classes,
@@ -23,7 +24,7 @@ from totbond.domination import (
 from totbond.families import complete, complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError
 from totbond.smallgraphs import enumerate_graph_classes
-from totbond.witnesses import RULES, apply_rule, find_anchors
+from totbond.witnesses import RULES, apply_rule, find_anchors, scan_witnesses
 
 
 def isolate_free_graphs(max_n):
@@ -223,6 +224,37 @@ class TestAgainstDeepening:
         monkeypatch.setattr(domination, "_cover_search", lambda *args: calls.append(args))
         assert gamma_t(g) == want
         assert calls == []
+
+
+class TestSearchNodes:
+    """Each `_cover_search` node walks only the uncovered entries of its
+    order and hands them to its children.  It keeps the bounds, the branch
+    vertex and the candidate order of a node that walks the whole degree
+    order, so it visits the same nodes: the counts below were taken from
+    that search."""
+
+    RUNS = {
+        "gamma-t-girth4-n40": (lambda: [gamma_t(g) for g in girth4_corpus() if g.n <= 40], 5949),
+        "sweep-planar-min3": (lambda: [bondage(g, work_budget=200000) for g in planar_min3_corpus()], 1664),
+        "scan-girth4-n28": (lambda: [scan_witnesses(g) for g in girth4_corpus() if g.n <= 28], 20703),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_same_nodes_and_the_live_part_of_the_degree_order(self, monkeypatch, run):
+        real, nodes, full = domination._cover_search, [], {}
+
+        def node(adj, order, uncovered, budget, chosen):
+            nodes.append(uncovered)
+            key = tuple(adj)
+            if key not in full:
+                full[key] = _packing_order(adj)
+            assert [e for e in order if e[0] & uncovered] == [e for e in full[key] if e[0] & uncovered]
+            return real(adj, order, uncovered, budget, chosen)
+
+        monkeypatch.setattr(domination, "_cover_search", node)
+        work, want = self.RUNS[run]
+        work()
+        assert len(nodes) == want
 
 
 class TestCertificates:

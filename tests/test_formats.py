@@ -336,6 +336,13 @@ class TestDispatch:
         p.write_bytes(data)
         assert read_graphs(str(p)) == []
 
+    @pytest.mark.parametrize("data", [b"# none\n", b"# a\n\n  # b\n"])
+    def test_edge_list_of_comments_holds_no_graphs(self, tmp_path, data):
+        assert parse_graphs(data) == []
+        p = tmp_path / "comments.el"
+        p.write_bytes(data)
+        assert read_graphs(str(p)) == []
+
     def test_planar_code_file(self, tmp_path):
         from totbond.corpus import cube
         from totbond.planar import planar_embedding

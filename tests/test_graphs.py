@@ -107,6 +107,15 @@ class TestQueries:
                 want = lengths.get(u, {}).get(v, math.inf)
                 assert g.distance(u, v) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=7))
+    def test_ball_matches_networkx(self, g):
+        lengths = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
+        for v in range(g.n):
+            for r in range(g.n + 1):
+                want = sum(1 << u for u, d in lengths.get(v, {v: 0}).items() if d <= r)
+                assert g.ball(v, r) == want, (v, r)
+
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_girth_matches_brute_force(self, g):

@@ -7,9 +7,11 @@ with the brute-force oracle so a solver bug cannot vouch for itself.
 
 import pytest
 
-from oracles import brute_gamma_t
+from oracles import brute_gamma_t, per_pair_degree_pairs
+from totbond.corpus import girth4_corpus, planar_min3_corpus
 from totbond.families import complete, complete_bipartite, complete_multipartite, cycle, path
 from totbond.graphs import Graph
+from totbond.smallgraphs import enumerate_graph_classes
 from totbond.witnesses import (
     ISOLATES,
     NO_RISE,
@@ -233,12 +235,23 @@ class TestAnchorsAndDispatch:
         with pytest.raises(ValueError, match="unknown rule 'pentagon'"):
             find_anchors(cycle(4), "pentagon")
 
+    def test_degree_pairs_match_the_per_pair_oracle(self):
+        graphs = [g for n in range(1, 8) for g in enumerate_graph_classes(n)]
+        graphs += [g for g in girth4_corpus() if g.n <= 28] + list(planar_min3_corpus())
+        found = {"deg3-dist2": 0, "deg2-dist3": 0}
+        for g in graphs:
+            for rule, args in (("deg3-dist2", (3, 2, 2)), ("deg2-dist3", (2, 1, 3))):
+                got = list(iter_anchors(g, rule))
+                assert got == list(per_pair_degree_pairs(g, *args)), (g, rule)
+                found[rule] += len(got)
+        assert found == {"deg3-dist2": 2902, "deg2-dist3": 1753}
+
     def test_iter_anchors_stops_at_the_first_pair(self, monkeypatch):
         g = cycle(8)
-        asked, real = [], Graph.distance
-        monkeypatch.setattr(Graph, "distance", lambda h, u, v: asked.append((u, v)) or real(h, u, v))
+        asked, real = [], Graph.ball
+        monkeypatch.setattr(Graph, "ball", lambda h, v, r: asked.append(v) or real(h, v, r))
         assert next(iter_anchors(g, "deg2-dist3")) == (0, 1)
-        assert asked == [(0, 1)]
+        assert set(asked) == {0}
 
     @pytest.mark.parametrize("rule", [r for r in RULES if r != "multipartite"])
     def test_shared_preconditions(self, rule):
