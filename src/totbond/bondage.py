@@ -229,9 +229,10 @@ class _Sweep:
     `stack`, the list of pooled sets that survive their U, and a set the
     exact solver finds joins every list on the path (it survives every U
     there, since deleting fewer edges keeps it dominating).  Such a node
-    also gets a dict of those sets' kill masks under its U, and makes its
-    children's; a node with one edge left needs only the edges that all
-    the masks of its surviving sets share.
+    also gets a dict of those sets' kill masks under its U.  One loop over
+    its surviving sets makes a child's masks; for a child with one edge
+    left it ANDs them instead, below the child's edge, and stops at the
+    first empty result, since that child tries no last edge.
     """
 
     def __init__(
@@ -295,32 +296,36 @@ class _Sweep:
             if deg[u] == 1 or deg[v] == 1:  # every subset below isolates u or v
                 self._skip(comb(top, j - 1))
                 continue
-            # kept apart from the j > 2 dict: _last_edge_mask's AND stops at the first empty mask
-            if j == 2:
-                rest = self._last_edge_mask(top, alive, masks)
-                if not rest:
-                    self._skip(top)
-                    continue
-            else:
-                # the child's pooled sets and their masks: this node's mask
-                # plus the kill edges that u and v gain.  A set pooled since
-                # this node's masks were made gets its own here, before
-                # (u, v) is deleted
-                au = adj[u] ^ (1 << v)
-                av = adj[v] ^ (1 << u)
-                child: dict[int, int] = {}
-                for d in alive:
-                    ru = au & d
-                    rv = av & d
-                    if ru and rv:
-                        kills = masks.get(d)
-                        if kills is None:
-                            kills = masks[d] = self._kills(d)
-                        if not ru & (ru - 1):
-                            kills |= ebit[u * n + ru.bit_length() - 1]
-                        if not rv & (rv - 1):
-                            kills |= ebit[v * n + rv.bit_length() - 1]
+            # the child's pooled sets and their masks: this node's mask plus
+            # the kill edges that u and v gain.  A set pooled since this
+            # node's masks were made gets its own here, before (u, v) is
+            # deleted.  A last-edge child needs only the edges below top
+            # that all its masks share (rest, which shrinks only then), and
+            # is skipped when none are left
+            au = adj[u] ^ (1 << v)
+            av = adj[v] ^ (1 << u)
+            child: dict[int, int] = {}
+            rest = (1 << top) - 1
+            for d in alive:
+                ru = au & d
+                rv = av & d
+                if ru and rv:
+                    kills = masks.get(d)
+                    if kills is None:
+                        kills = masks[d] = self._kills(d)
+                    if not ru & (ru - 1):
+                        kills |= ebit[u * n + ru.bit_length() - 1]
+                    if not rv & (rv - 1):
+                        kills |= ebit[v * n + rv.bit_length() - 1]
+                    if j > 2:
                         child[d] = kills
+                        continue
+                    rest &= kills
+                    if not rest:
+                        break
+            if not rest:
+                self._skip(top)
+                continue
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
             deg[u] -= 1
@@ -362,36 +367,6 @@ class _Sweep:
             if not r & (r - 1):
                 out |= ebit[v * n + r.bit_length() - 1]
         return out
-
-    def _last_edge_mask(self, top: int, alive: list[int], masks: dict[int, int]) -> int:
-        """The edges below `top` that kill every pooled set surviving the
-        child that deletes edge `top`, made from this node's kill masks.
-
-        Deleting edges takes no kill edge away, so a pooled set that
-        survives the child has this node's mask plus the kill edges that
-        the ends of `top` gain.  0 means the child tries no last edge.
-        """
-        n, ebit = self.n, self.ebit
-        u, v = self.edges[top]
-        au = self.adj[u] ^ (1 << v)
-        av = self.adj[v] ^ (1 << u)
-        rest = (1 << top) - 1
-        for d in alive:
-            ru = au & d
-            rv = av & d
-            if not (ru and rv):  # deleting top kills d
-                continue
-            kills = masks.get(d)
-            if kills is None:
-                kills = masks[d] = self._kills(d)
-            if not ru & (ru - 1):
-                kills |= ebit[u * n + ru.bit_length() - 1]
-            if not rv & (rv - 1):
-                kills |= ebit[v * n + rv.bit_length() - 1]
-            rest &= kills
-            if not rest:
-                break
-        return rest
 
     def _last_edge(self, hi: int, rest: int) -> frozenset[Edge] | None:
         # only an edge in `rest`, the edges below hi that kill every

@@ -103,6 +103,8 @@ def _read_inputs(path: str) -> list[Graph] | list[Embedding]:
         return read_graphs(path)
     except FormatError as exc:
         raise _malformed(path, exc) from None
+    except OSError as exc:  # a directory, or a file it may not read
+        raise SystemExit(f"cannot read input {path!r}: {exc.strerror or exc}") from None
 
 
 def _load_inputs(path: str) -> list[Graph]:
@@ -198,6 +200,17 @@ def _ints(flag: str, text: str) -> tuple[int, ...]:
         raise SystemExit(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
+def _rules(verb: str, text: str, known) -> list[str]:
+    """The comma-separated rules of --rules, each one known and named once."""
+    rules = text.split(",")
+    for i, rule in enumerate(rules):
+        if rule not in known:
+            raise SystemExit(f"unknown {verb} rule {rule!r}")
+        if rule in rules[:i]:
+            raise SystemExit(f"--rules names {rule!r} twice")
+    return rules
+
+
 def _witness_record(report) -> str:
     fields = [
         ("rule", report.rule),
@@ -218,10 +231,7 @@ def _witness_record(report) -> str:
 def _cmd_witness(args: argparse.Namespace) -> int:
     # every flag is checked before any input is read or any record printed:
     # first each flag's own value, then how the flags go together
-    rules = args.rules.split(",") if args.rules else None
-    for rule in rules or ():
-        if rule not in RULES:
-            raise SystemExit(f"unknown witness rule {rule!r}")
+    rules = _rules("witness", args.rules, RULES) if args.rules is not None else None
     anchors = _ints("--anchors", args.anchors) if args.anchors else None
     parts = _ints("--parts", args.parts) if args.parts else None
     if parts:
@@ -277,10 +287,7 @@ def _load_with_embeddings(path: str):
 def _cmd_detect(args: argparse.Namespace) -> int:
     from .planar import detect_borodin, detect_girth4_config
 
-    rules = args.rules.split(",")
-    for rule in rules:
-        if rule not in ("g4", "borodin"):
-            raise SystemExit(f"unknown detect rule {rule!r}")
+    rules = _rules("detect", args.rules, ("g4", "borodin"))
     if "borodin" in rules:
         pairs = _load_with_embeddings(args.input)
     else:  # g4 reads degrees only

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import inf
 
 Edge = tuple[int, int]
@@ -174,55 +175,38 @@ class Graph:
 
     # -- connectivity and metrics -------------------------------------------
 
-    def _reach_mask(self, start: int) -> int:
-        seen = 1 << start
-        frontier = seen
-        while frontier:
+    def _layers(self, v: int):
+        """Yield the breadth-first layers around v as disjoint masks, {v} first."""
+        adj = self.adj
+        seen = layer = 1 << v
+        while layer:
+            yield layer
             nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen
+            for w in _bits(layer):
+                nxt |= adj[w]
+            layer = nxt & ~seen
+            seen |= layer
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return self._reach_mask(0) == (1 << self.n) - 1
+        return self.n <= 1 or sum(self._layers(0)) == (1 << self.n) - 1
 
     def distance(self, u: int, v: int):
         """Shortest-path distance, or math.inf when v is unreachable from u."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("vertex out of range")
-        if u == v:
-            return 0
-        seen = 1 << u
-        frontier = seen
-        d = 0
-        while frontier:
-            nxt = 0
-            for w in _bits(frontier):
-                nxt |= self.adj[w]
-            nxt &= ~seen
-            d += 1
-            if nxt >> v & 1:
+        bit = 1 << v
+        for d, layer in enumerate(self._layers(u)):
+            if layer & bit:
                 return d
-            seen |= nxt
-            frontier = nxt
         return inf
 
     def ball(self, v: int, r: int) -> int:
         """Mask of the vertices within distance r >= 0 of v."""
-        seen = frontier = 1 << v
-        for _ in range(r):
-            nxt = 0
-            for w in _bits(frontier):
-                nxt |= self.adj[w]
-            frontier = nxt & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-        return seen
+        if not 0 <= v < self.n:
+            raise ValueError("vertex out of range")
+        if r < 0:
+            raise ValueError(f"radius must be nonnegative, got {r}")
+        return sum(islice(self._layers(v), r + 1))
 
     def girth(self):
         """Length of a shortest cycle, or math.inf for acyclic graphs.

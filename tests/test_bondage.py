@@ -252,6 +252,16 @@ BUDGETS = (None, 1, 2, 3, 5, 10, 30, 100, 1000)
 GRID = [(cap, budget) for cap in CAPS for budget in BUDGETS]
 
 
+def fresh_last_edges(sweep, hi):
+    """The edges below hi that kill every pooled set surviving the walk's U,
+    from kill masks made afresh under U."""
+    rest = (1 << hi) - 1
+    for d in sweep.pool:
+        if all(a & d for a in sweep.adj):
+            rest &= _Sweep._kills(sweep, d)
+    return rest
+
+
 def level_start(m, k):
     """Subsets of sizes 1..k-1 that precede size k in the sweep."""
     return sum(math.comb(m, i) for i in range(1, k))
@@ -369,6 +379,26 @@ class TestCarriedMasks:
         bondage(g, work_budget=budget)
         assert carried
 
+    @pytest.mark.parametrize(
+        "g, budget",
+        [(cube(), None), (complete_bipartite(3, 3), None), (icosahedron(), 200000),
+         (icosahedron_incidence(), None)],
+        ids=["cube", "K3,3", "icosahedron", "icosahedron-incidence"],
+    )
+    def test_last_edges_match_fresh_kills(self, monkeypatch, g, budget):
+        real_last_edge = _Sweep._last_edge
+        below_root = []  # last-edge steps with a carried AND, not a level's root
+
+        def last_edge(sweep, hi, rest):
+            assert rest == fresh_last_edges(sweep, hi), (g.edges(), sweep.chosen)
+            if sweep.chosen:
+                below_root.append(hi)
+            return real_last_edge(sweep, hi, rest)
+
+        monkeypatch.setattr(_Sweep, "_last_edge", last_edge)
+        bondage(g, work_budget=budget)
+        assert below_root
+
     def test_planar_min3_computes_few_masks(self, monkeypatch):
         # a fresh mask at every node made 19,711 calls here
         calls = []
@@ -461,30 +491,44 @@ class TestBudgetBoundaries:
         # rules out before visiting them are among them
         blocks = []
         prechecked = []
-        real_skip = _Sweep._skip
-        real_mask = _Sweep._last_edge_mask
+        nodes = []  # (j, examined at entry) of each running _inner call
+        real_skip, real_inner = _Sweep._skip, _Sweep._inner
+
+        def inner(sweep, j, hi, alive, masks):
+            nodes.append((j, sweep.examined))
+            try:
+                return real_inner(sweep, j, hi, alive, masks)
+            finally:
+                nodes.pop()
 
         def record(sweep, size):
+            j, start = nodes[-1]
+            # child `size` of a two-edges-left node starts C(size, 2)
+            # subsets into it; unless its edge isolates a vertex, it is
+            # skipped because no edge below kills every surviving set
+            if j == 2 and size >= 2 and sweep.examined == start + math.comb(size, 2):
+                u, v = sweep.edges[size]
+                if sweep.deg[u] > 1 and sweep.deg[v] > 1:
+                    adj = sweep.adj
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                    assert fresh_last_edges(sweep, size) == 0, (g.edges(), sweep.chosen, size)
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                    prechecked.append(size)
             blocks.append((sweep.examined, size))
             return real_skip(sweep, size)
-
-        def record_mask(sweep, top, alive, masks):
-            rest = real_mask(sweep, top, alive, masks)
-            if not rest:
-                prechecked.append((sweep.examined, top))
-            return rest
 
         for g, want in ((cycle(6), 0), (complete_bipartite(3, 3), 4), (cube(), 122)):
             blocks.clear()
             prechecked.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(_Sweep, "_skip", record)
-                mp.setattr(_Sweep, "_last_edge_mask", record_mask)
+                mp.setattr(_Sweep, "_inner", inner)
                 bondage(g)
             inside = sorted({start + (size + 1) // 2 for start, size in blocks if size >= 2})
             assert inside, g.edges()
-            assert sum(size >= 2 for _, size in prechecked) == want, g.edges()
-            assert set(prechecked) <= set(blocks)
+            assert len(prechecked) == want, g.edges()
             for budget in inside:
                 cert = bondage(g, work_budget=budget)
                 assert cert.status == "unknown-above-cap"

@@ -215,6 +215,8 @@ class TestWitness:
         (["--rule", "multipartite", "--parts", "3,x"], "--parts takes comma-separated integers, got '3,x'"),
         (["--rule", "multipartite", "--parts", "3,0"], "--parts '3,0': need at least two parts of positive size"),
         (["--rule", "cycle4", "--anchors", "0,1,1,2"], "anchor vertices must be distinct"),
+        (["--scan", "--rules", "triangle,triangle"], "--rules names 'triangle' twice"),
+        (["--scan", "--rules", ""], "unknown witness rule ''"),
     ])
     def test_bad_flags_rejected_before_any_input(self, capsys, graph_file, flags, message):
         from totbond.families import complete
@@ -236,6 +238,15 @@ class TestWitness:
     def test_missing_input_file_is_clean_error(self):
         with pytest.raises(SystemExit, match="no such input file"):
             main(["gamma-t", "/tmp/totbond-no-such-file.g6"])
+
+    @pytest.mark.parametrize("argv", [["bondage", "{}"], ["campaign", "--theorem", "thm-paths", "--corpus", "{}"]])
+    def test_directory_input_is_clean_error(self, capsys, tmp_path, argv):
+        d = tmp_path / "dir.g6"
+        d.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(d) for a in argv])
+        assert exc.value.code == f"cannot read input {str(d)!r}: Is a directory"
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flags", [[], ["--rule", "cycle4"], ["--anchors", "0,1,2,3"]])
     def test_no_mode_rejected_before_reading_input(self, capsys, monkeypatch, flags):
@@ -398,6 +409,18 @@ class TestDetect:
         f = graph_file(cube(), cube())
         with pytest.raises(SystemExit, match="unknown detect rule 'bogus'"):
             main(["detect", f, "--rules", "g4,bogus"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rules, message", [
+        ("g4,g4", "--rules names 'g4' twice"),
+        ("", "unknown detect rule ''"),
+    ])
+    def test_repeated_or_empty_rule_rejected_before_any_record(self, capsys, graph_file, rules, message):
+        from totbond.corpus import cube
+
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", graph_file(cube()), "--rules", rules])
+        assert exc.value.code == message
         assert capsys.readouterr().out == ""
 
     def test_unknown_rule_rejected_before_reading_input(self):

@@ -116,6 +116,15 @@ class TestQueries:
                 want = sum(1 << u for u, d in lengths.get(v, {v: 0}).items() if d <= r)
                 assert g.ball(v, r) == want, (v, r)
 
+    @pytest.mark.parametrize("v, r, message", [
+        (4, 1, "vertex out of range"),
+        (-1, 1, "vertex out of range"),
+        (1, -1, "radius must be nonnegative, got -1"),
+    ])
+    def test_ball_rejects_bad_arguments(self, v, r, message):
+        with pytest.raises(ValueError, match=message):
+            path(4).ball(v, r)
+
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_girth_matches_brute_force(self, g):
