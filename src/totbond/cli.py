@@ -243,6 +243,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise SystemExit("--scan applies every rule: pass no --rule or --anchors with it")
     if rules and not args.scan:
         raise SystemExit("--rules picks the rules of --scan: pass it only with --scan")
+    if rules and "multipartite" in rules:
+        raise SystemExit("--scan has no anchors for multipartite: pass --rule multipartite --parts instead")
     if parts and args.rule != "multipartite":
         raise SystemExit("--parts applies only to --rule multipartite")
     if args.rule == "multipartite":

@@ -10,19 +10,23 @@ never lowers the minimum, so it gets a minimum cover of G - U, and from
 its size both the verdict and gamma_t(G - B).  `exists_total_dominating_set`
 only asks whether a cover fits in `size`, so `least` defaults to `size`.
 
-`_exists_cover` takes the max-gain greedy cover first.  Call its size
-`top`, or size + 1 when it does not fit.  The greedy answer stands once the
-root bound max(2, least, ceil(n / max degree), packing) reaches `top`.
-Otherwise V splits into coverer classes (`_coverer_classes`): two
+`_exists_cover` takes the max-gain greedy cover first, ties to the lowest
+vertex.  Once the best gain is 1 it finishes in one ascending pass that
+picks each vertex still covering something: gains never rise, so a
+rescan per pick would pick the same vertices.  Call the cover's size
+`top`, or size + 1 when it does not fit.  The greedy answer stands once
+the root bound max(2, least, ceil(n / max degree), packing) reaches
+`top`.  Otherwise V splits into coverer classes (`_coverer_classes`): two
 vertices share a class when they share a neighbour, closed under chains.
 The classes are the connected components, with a bipartite component
 split into its two sides.  No vertex covers two classes, so the minimum
 is the sum of the per-class minima, and each class deepens
-`_cover_search` from its own bound (van Rooij & Bodlaender, Discrete
-Appl. Math. 159, 2011).  Deepening stops once the classes solved plus
-the bounds of the rest reach `top`: the join cannot beat the greedy
-answer.  The last class starts at least minus the size of the join so
-far, since below `least` any cover that fits is an answer.
+`_cover_search` from its own bound, which is 1 for a one-vertex class
+and otherwise max(ceil(|class| / max degree), packing) (van Rooij &
+Bodlaender, Discrete Appl. Math. 159, 2011).  Deepening stops once the
+classes solved plus the bounds of the rest reach `top`: the join cannot
+beat the greedy answer.  The last class starts at least minus the size
+of the join so far, since below `least` any cover that fits is an answer.
 
 A `_cover_search` node makes one walk over the uncovered entries of its
 degree order, ascending with ties by vertex, and hands the children
@@ -85,11 +89,21 @@ def _greedy_cover(adj: list[int], uncovered: int, limit: int) -> list[int] | Non
             gain = (a & uncovered).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
-        if best_v < 0:
-            return None
+        if best_gain < 2:
+            break
         chosen.append(best_v)
         uncovered &= ~adj[best_v]
-    return chosen
+    # the gain-1 tail: gains never rise, so from here each pick covers one
+    # vertex and is the lowest vertex that still covers anything.  One
+    # ascending pass makes the same picks; a vertex that nothing covers
+    # stays uncovered
+    if uncovered.bit_count() > limit - len(chosen):
+        return None
+    for v, a in enumerate(adj):
+        if a & uncovered:
+            chosen.append(v)
+            uncovered &= ~a
+    return None if uncovered else chosen
 
 
 def _packing_order(adj: list[int]) -> list[tuple[int, int]]:
@@ -180,13 +194,16 @@ def _coverer_classes(adj: list[int], universe: int) -> list[int]:
             # alternate steps: the new coverers of the frontier, then the
             # universe vertices those coverers reach
             fresh = 0
-            for v in _bits(frontier):
-                fresh |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                fresh |= adj[low.bit_length() - 1]
+                frontier ^= low
             fresh &= ~coverers
             coverers |= fresh
-            frontier = 0
-            for u in _bits(fresh):
-                frontier |= adj[u]
+            while fresh:
+                low = fresh & -fresh
+                frontier |= adj[low.bit_length() - 1]
+                fresh ^= low
             frontier &= rest & ~cls
             cls |= frontier
         classes.append(cls)
@@ -216,7 +233,10 @@ def _exists_cover(adj: list[int], full: int, size: int, least: int | None = None
     # plus the bounds still to come reach `top`: then the join cannot
     # beat the greedy cover
     classes = _coverer_classes(adj, full)
-    bounds = [max(-(-c.bit_count() // delta), _packing(order, c, size)) for c in classes]
+    # a one-vertex class has bound 1 without a packing walk
+    bounds = [
+        max(-(-c.bit_count() // delta), _packing(order, c, size)) if c & (c - 1) else 1 for c in classes
+    ]
     joined: list[int] = []
     rest = sum(bounds)
     for cls, k in zip(classes, bounds):

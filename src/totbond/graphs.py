@@ -136,13 +136,18 @@ class Graph:
         return min(self.degrees(), default=0)
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return self._max_degree
+
+    @cached_property
+    def _max_degree(self) -> int:
+        """Maximum degree, found once per graph: witness claims and bounds ask it often."""
+        return max(map(int.bit_count, self.adj), default=0)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj[v]))
 
     def has_isolated_vertex(self) -> bool:
-        return any(not a for a in self.adj) if self.n else False
+        return 0 in self.adj
 
     def delete_edges(self, edges) -> "Graph":
         """Return the graph with the given edges removed.  All must exist."""

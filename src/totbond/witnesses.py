@@ -97,8 +97,12 @@ def _unmet(rule: str, s: _Shared, anchors: tuple[int, ...], reason: str) -> Witn
 def _incident(g: Graph, vs) -> set[Edge]:
     out: set[Edge] = set()
     for v in set(vs):
-        for u in g.neighbors(v):
-            out.add(edge_key(u, v))
+        a = g.adj[v]
+        while a:
+            low = a & -a
+            u = low.bit_length() - 1
+            out.add((u, v) if u < v else (v, u))
+            a ^= low
     return out
 
 

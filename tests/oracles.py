@@ -529,6 +529,57 @@ def deepening_gamma_t(g: Graph):
     return DominationCertificate(len(best), frozenset(best))
 
 
+def rescan_greedy_cover(adj: list[int], uncovered: int, limit: int) -> list[int] | None:
+    """Max-gain greedy cover of `uncovered`, ties to the lowest vertex,
+    with every vertex's gain scanned again at every pick; None past `limit`
+    picks or on a vertex that nothing covers.
+
+    The greedy `totbond.domination._greedy_cover` replaced.  That one
+    finishes the gain-1 tail in one ascending pass, and must return the
+    same list, or None, at every limit.
+    """
+    chosen: list[int] = []
+    while uncovered:
+        if len(chosen) == limit:
+            return None
+        best_v = -1
+        best_gain = 0
+        for v, a in enumerate(adj):
+            gain = (a & uncovered).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        if best_v < 0:
+            return None
+        chosen.append(best_v)
+        uncovered &= ~adj[best_v]
+    return chosen
+
+
+def bits_coverer_classes(adj: list[int], universe: int) -> list[int]:
+    """`totbond.domination._coverer_classes` with its frontier walks over
+    `_bits`, the form it had before they were written out inline; both
+    must give the same classes in the same order."""
+    classes: list[int] = []
+    rest = universe
+    while rest:
+        cls = frontier = rest & -rest
+        coverers = 0
+        while frontier:
+            fresh = 0
+            for v in _bits(frontier):
+                fresh |= adj[v]
+            fresh &= ~coverers
+            coverers |= fresh
+            frontier = 0
+            for u in _bits(fresh):
+                frontier |= adj[u]
+            frontier &= rest & ~cls
+            cls |= frontier
+        classes.append(cls)
+        rest &= ~cls
+    return classes
+
+
 def per_pair_degree_pairs(g: Graph, degree: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """Pairs of vertices of the given degree at distance lo..hi, in
     canonical order, by one `Graph.distance` search per pair.

@@ -292,6 +292,16 @@ class TestWitness:
             ["--rule", "multipartite", "--parts", "2,2"],
             "--rule multipartite takes --parts, not --anchors or an input file",
         ),
+        (
+            True,
+            ["--scan", "--rules", "multipartite"],
+            "--scan has no anchors for multipartite: pass --rule multipartite --parts instead",
+        ),
+        (
+            True,
+            ["--scan", "--rules", "cycle4,multipartite"],
+            "--scan has no anchors for multipartite: pass --rule multipartite --parts instead",
+        ),
     ])
     def test_flags_the_mode_would_ignore_exit_with_one_line(self, capsys, monkeypatch, with_input, flags, message):
         def no_read(path):

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_gamma_t, deepening_gamma_t, labelings
-from totbond import domination
+from oracles import bits_coverer_classes, brute_gamma_t, deepening_gamma_t, labelings, rescan_greedy_cover
+from totbond import domination, witnesses
 from totbond.bondage import bondage
 from totbond.corpus import girth4_corpus, icosahedron_incidence, planar_min3_corpus
 from totbond.domination import (
     DominationCertificate,
     _coverer_classes,
     _exists_cover,
+    _greedy_cover,
     _packing,
     _packing_order,
     exists_total_dominating_set,
@@ -24,6 +25,7 @@ from totbond.domination import (
 from totbond.families import complete, complete_bipartite, cycle, path, star
 from totbond.graphs import Graph, IsolatedVertexError
 from totbond.smallgraphs import enumerate_graph_classes
+from totbond.trees import enumerate_trees
 from totbond.witnesses import RULES, apply_rule, find_anchors, scan_witnesses
 
 
@@ -97,6 +99,54 @@ def _classes(g):
     return _coverer_classes(list(g.adj), (1 << g.n) - 1)
 
 
+@pytest.fixture(scope="module")
+def cover_graphs():
+    """Every graph class with n <= 7, isolated vertices included, the trees
+    of order 2..12, planar-min3, girth4 with n <= 40, and every graph the
+    witness scan of girth4 with n <= 28 hands to `gamma_t`."""
+    graphs = [g for n in range(1, 8) for g in enumerate_graph_classes(n)]
+    graphs += [t for n in range(2, 13) for t in enumerate_trees(n)]
+    graphs += planar_min3_corpus()
+    graphs += [g for g in girth4_corpus() if g.n <= 40]
+    solved = []
+
+    def solve(h):
+        solved.append(h)
+        return gamma_t(h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witnesses, "gamma_t", solve)
+        for g in girth4_corpus():
+            if g.n <= 28:
+                scan_witnesses(g)
+    assert len(solved) == 2392
+    return graphs + solved
+
+
+class TestGreedyCover:
+    """The greedy finishes its gain-1 tail in one ascending pass; it must
+    return what the greedy that rescans every gain at every pick returns."""
+
+    def test_every_limit_on_whole_graphs(self, cover_graphs):
+        outcomes = set()
+        for g in cover_graphs:
+            adj, full = list(g.adj), (1 << g.n) - 1
+            for limit in range(g.n + 1):
+                got = _greedy_cover(adj, full, limit)
+                assert got == rescan_greedy_cover(adj, full, limit), (g, limit)
+                outcomes.add((got is None, g.has_isolated_vertex()))
+        # lists, limits too small, and graphs with a vertex nothing covers
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_every_limit_on_random_parts(self, cover_graphs):
+        rng = random.Random(26)
+        for _ in range(400):
+            g = rng.choice(cover_graphs)
+            adj, part = list(g.adj), rng.getrandbits(g.n)
+            for limit in range(g.n + 1):
+                assert _greedy_cover(adj, part, limit) == rescan_greedy_cover(adj, part, limit), (g, part, limit)
+
+
 class TestCovererClasses:
     @pytest.mark.parametrize(
         "g,want",
@@ -138,6 +188,13 @@ class TestCovererClasses:
     def test_part_of_the_universe(self):
         # C6 minus vertex 0 from the universe: the odd side stays whole
         assert _coverer_classes(list(cycle(6).adj), 0b111110) == [0b101010, 0b010100]
+
+    def test_same_classes_as_the_walk_over_bits(self, cover_graphs):
+        rng = random.Random(27)
+        for g in cover_graphs:
+            adj = list(g.adj)
+            for universe in ((1 << g.n) - 1, rng.getrandbits(g.n)):
+                assert _coverer_classes(adj, universe) == bits_coverer_classes(adj, universe), (g, universe)
 
 
 def _relabelled(g, seed):

@@ -188,6 +188,23 @@ class TestQueries:
         g = Graph.from_edges(3, [(0, 1)])
         assert g.has_isolated_vertex()
 
+    @pytest.mark.parametrize(
+        "g,delta,isolated",
+        [(Graph(0, ()), 0, False), (path(1), 0, True), (path(2), 1, False), (path(3), 2, False)],
+        ids=["empty", "K1", "K2", "P3"],
+    )
+    def test_max_degree_and_isolates_on_small_graphs(self, g, delta, isolated):
+        assert g.max_degree() == delta
+        assert g.has_isolated_vertex() == isolated
+
+    def test_deleting_edges_gives_a_graph_with_its_own_max_degree(self):
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (2, 3)])
+        assert g.max_degree() == 3  # computed, and cached on g, before the deletion
+        h = g.delete_edges([(0, 1), (0, 3)])
+        assert (h.max_degree(), h.has_isolated_vertex()) == (2, True)
+        assert (g.max_degree(), g.has_isolated_vertex()) == (3, False)
+        assert h.delete_edges([(0, 2), (2, 3)]).max_degree() == 0
+
     def test_complement(self):
         g = path(3).complement()
         assert g.edges() == ((0, 2),)
