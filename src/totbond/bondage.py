@@ -243,7 +243,6 @@ class _Sweep:
         self.edges = edges
         self.adj = list(g.adj)
         self.deg = list(g.degrees())
-        self.full = (1 << n) - 1
         self.gv = gv
         self.budget = work_budget
         ebit = [0] * (n * n)  # 1 << (index of edge {u, v}) at u*n+v and v*n+u
@@ -409,7 +408,7 @@ class _Sweep:
         # a minimum TDS of G - U: none is smaller than gamma_t(G), since
         # every TDS of G - U also dominates G
         self.exact_calls += 1
-        return _exists_cover(self.adj, self.full, self.n, self.gv)
+        return _exists_cover(self.adj, self.n, self.gv)
 
     def _add(self, cover: list[int]) -> int:
         d = sum(1 << v for v in cover)

@@ -22,7 +22,7 @@ from .bondage import BondageCertificate, bondage
 from .formats import edges_text, graph6_bytes, record_line
 from .graphs import Graph, _bits
 from .smallgraphs import is_isomorphic
-from .families import star, subdivided_star
+from .families import subdivided_star
 from .witnesses import iter_anchors
 
 HOLDS = "holds"
@@ -97,10 +97,7 @@ def _is_star(g: Graph) -> bool:
 
 
 def _is_path_graph(g: Graph) -> bool:
-    if not _is_tree(g) or g.n < 2:
-        return False
-    degs = sorted(g.degrees())
-    return degs[-1] <= 2 and degs.count(1) == 2
+    return g.n >= 2 and g.max_degree() <= 2 and _is_tree(g)
 
 
 def _is_cycle_graph(g: Graph) -> bool:
@@ -289,8 +286,8 @@ THEOREMS: dict[str, Theorem | Bound] = {
         (
             _TREE,
             _MAX_DEGREE_3,
-            Hypothesis("excluded-k13", lambda g: not (
-                g.n == 4 and is_isomorphic(g, star(3)))),
+            # after the two above, the only 4-vertex tree left is K1,3
+            Hypothesis("excluded-k13", lambda g: g.n != 4),
             Hypothesis("excluded-t1", lambda g: not (
                 g.n == 7 and is_isomorphic(g, subdivided_star((3, 0, 0))))),
             _NOT_STAR,

@@ -341,8 +341,8 @@ def _cmd_discharge(args: argparse.Namespace) -> int:
         if args.full:
             for v, ci in enumerate(ledger.vertex_initial):
                 print(f"  vertex={v} initial={ci}")
-            for i, face in enumerate(emb.faces):
-                print(f"  face={i} length={len(face)} initial={len(face) - 4}")
+            for i, (face, ci) in enumerate(zip(emb.faces, ledger.face_initial)):
+                print(f"  face={i} length={len(face)} initial={ci}")
     return 0
 
 

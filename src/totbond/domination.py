@@ -2,7 +2,7 @@
 
 A set D totally dominates G exactly when the open neighborhoods of D's
 members cover V(G).  Every question here goes to one function,
-`_exists_cover(adj, full, size, least)`: a cover of `full` by at most
+`_exists_cover(adj, size, least)`: a cover of the vertex set by at most
 `size` neighborhoods, else None, and a minimum one whenever the minimum
 is at least `least`.  `gamma_t` asks with size n and least 0.  The
 bondage sweep asks with size n and least gamma_t(G): deleting edges
@@ -211,12 +211,13 @@ def _coverer_classes(adj: list[int], universe: int) -> list[int]:
     return classes
 
 
-def _exists_cover(adj: list[int], full: int, size: int, least: int | None = None) -> list[int] | None:
-    """A cover of `full` by at most `size` neighborhoods, else None.
+def _exists_cover(adj: list[int], size: int, least: int | None = None) -> list[int] | None:
+    """A cover of every vertex by at most `size` neighborhoods, else None.
 
     The cover is a minimum one whenever the minimum is at least `least`,
     which defaults to `size`.
     """
+    full = (1 << len(adj)) - 1
     best = _greedy_cover(adj, full, size)
     top = size + 1 if best is None else len(best)
     least = size if least is None else least
@@ -260,7 +261,7 @@ def gamma_t(g: Graph) -> DominationCertificate:
     """
     if g.has_isolated_vertex():
         raise IsolatedVertexError("total domination is undefined with isolated vertices")
-    best = _exists_cover(list(g.adj), (1 << g.n) - 1, g.n, 0)
+    best = _exists_cover(list(g.adj), g.n, 0)
     return DominationCertificate(len(best), frozenset(best))
 
 
@@ -270,4 +271,4 @@ def exists_total_dominating_set(g: Graph, size: int) -> bool:
         raise IsolatedVertexError("total domination is undefined with isolated vertices")
     if size < 0:
         return False
-    return _exists_cover(list(g.adj), (1 << g.n) - 1, size) is not None
+    return _exists_cover(list(g.adj), size) is not None

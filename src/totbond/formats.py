@@ -6,11 +6,13 @@ The codec never steps through single bits: each column of the triangle
 is one binary string, the joined string is one integer, and base64 does
 the 6-bit grouping, since its alphabet is the same 64 values in another
 order and one translation table maps the one onto the other.  Decoding
-runs the same steps backwards.  Edge lists are text lines "u v" with
-0-based vertex ids in ASCII decimal digits.  planar_code is the binary embedding format: a
-">>planar_code<<" header, then per graph a vertex count followed by each
-vertex's clockwise neighbor list, 1-based and 0-terminated.  Parse
-failures report the byte offset where they happened.
+runs the same steps backwards.  The vertex count in front is a 1-, 4-
+or 8-byte size field, and one table, `_SIZE_FORMS`, lists those three
+forms for both directions.  Edge lists are text lines "u v" with 0-based
+vertex ids in ASCII decimal digits.  planar_code is the binary embedding
+format: a ">>planar_code<<" header, then per graph a vertex count
+followed by each vertex's clockwise neighbor list, 1-based and
+0-terminated.  Parse failures report the byte offset where they happened.
 """
 from __future__ import annotations
 
@@ -50,15 +52,20 @@ class FormatError(ValueError):
 # -- graph6 -------------------------------------------------------------------
 
 
+# the size field's forms: largest n, prefix, digit shifts (most significant first)
+_SIZE_FORMS = (
+    (62, b"", (0,)),
+    (258047, b"~", (12, 6, 0)),
+    (68719476735, b"~~", (30, 24, 18, 12, 6, 0)),
+)
+
+
 def _g6_size_bytes(n: int) -> bytes:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    if n <= 62:
-        return bytes([n + 63])
-    if n <= 258047:
-        return bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    if n <= 68719476735:
-        return bytes([126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)])
+    for top, prefix, shifts in _SIZE_FORMS:
+        if n <= top:
+            return prefix + bytes((n >> s & 63) + 63 for s in shifts)
     raise ValueError("vertex count too large for graph6")
 
 
@@ -103,24 +110,18 @@ def parse_graph6(record: bytes | str) -> Graph:
         for i, b in enumerate(data):
             if not 63 <= b <= 126:
                 raise FormatError(f"byte {b} outside graph6 range", base + i)
-    if data[0] != 126:
-        n = data[0] - 63
-        body = data[1:]
-        body_off = base + 1
-    elif len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise FormatError("truncated graph6 size field", base + len(data))
-        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
-        body = data[4:]
-        body_off = base + 4
-    else:
-        if len(data) < 8:
-            raise FormatError("truncated graph6 size field", base + len(data))
-        n = 0
-        for b in data[2:8]:
-            n = n << 6 | (b - 63)
-        body = data[8:]
-        body_off = base + 8
+    # the form of the longest prefix the record starts with; "" always matches
+    for _, prefix, shifts in reversed(_SIZE_FORMS):
+        if data.startswith(prefix):
+            break
+    size_end = len(prefix) + len(shifts)
+    if len(data) < size_end:
+        raise FormatError("truncated graph6 size field", base + len(data))
+    n = 0
+    for b in data[len(prefix) : size_end]:
+        n = n << 6 | (b - 63)
+    body = data[size_end:]
+    body_off = base + size_end
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) < nbytes:

@@ -46,7 +46,7 @@ def _lr_planarity(g: Graph, embed: bool):
     """
     n = g.n
     adj = g.adj
-    m = sum(a.bit_count() for a in adj) // 2
+    m = g.m
     if n > 2 and m > 3 * n - 6:
         return None
     none = m

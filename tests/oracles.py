@@ -137,7 +137,6 @@ def colex_bondage(g: Graph, cap: int | None = None, work_budget: int | None = No
         cap_eff = max(0, min(cap, m))
     adj0 = list(g.adj)
     degs = list(g.degrees())
-    full = (1 << g.n) - 1
     examined = 0
     for k in range(1, cap_eff + 1):
         for combo in colex_subsets(m, k):
@@ -158,7 +157,7 @@ def colex_bondage(g: Graph, cap: int | None = None, work_budget: int | None = No
                 u, v = edges[idx]
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
-            if _exists_cover(adj, full, gv) is None:
+            if _exists_cover(adj, gv) is None:
                 witness = frozenset(edges[idx] for idx in combo)
                 after = gamma_t(g.delete_edges(witness))
                 return BondageCertificate("finite", k, witness, gv, after.value)
@@ -190,7 +189,7 @@ def walk_bondage(g: Graph, cap: int | None = None, work_budget: int | None = Non
     class Walk(_Sweep):
         def _solve(self):
             self.exact_calls += 1
-            return _exists_cover(self.adj, self.full, self.gv)
+            return _exists_cover(self.adj, self.gv)
 
         def level(self, k):
             return self._visit(k, len(self.edges), self.pool)

@@ -135,6 +135,20 @@ class TestTreeCampaigns:
         t1 = subdivided_star((3, 0, 0))
         assert ("reason", "excluded-t1") in evaluate_theorem("thm-tree-n23", t1).detail
 
+    def test_spiders_meet_the_tree_bounds(self):
+        """S(2^r, 0^s), r legs subdivided twice and s leaves, has b_t = r:
+        each tag's bound is met with equality where the tree lies in it."""
+        for r in range(2, 8):
+            for tag, leaves in (
+                ("thm-tree-n23", (1, 2, 3)),
+                ("thm-tree-sridharan", (1, 2)),
+                ("thm-tree-rad", (1,)),
+            ):
+                for s in leaves:
+                    out = evaluate_theorem(tag, subdivided_star((2,) * r + (0,) * s))
+                    detail = dict(out.detail)
+                    assert (out.status, detail["bound"], detail["b_t"]) == (HOLDS, r, r), (tag, r, s)
+
     def test_low_degree_tree_skipped(self):
         out = evaluate_theorem("thm-tree-n23", path(7))
         assert out.status == SKIPPED

@@ -381,16 +381,16 @@ def _disjoint_unions():
 
 
 class TestExistsCover:
-    """`_exists_cover(adj, full, size, least)` returns a cover by at most
+    """`_exists_cover(adj, size, least)` returns a cover by at most
     `size` neighbourhoods, else None, and a minimum one whenever gamma_t
     is at least `least`."""
 
     @staticmethod
     def _check(g, want):
-        adj, full = list(g.adj), (1 << g.n) - 1
+        adj = list(g.adj)
         for size in (want - 1, want, want + 1):
             for least in (0, size):
-                got = _exists_cover(adj, full, size, least)
+                got = _exists_cover(adj, size, least)
                 if want > size:
                     assert got is None, (g, size, least)
                     continue
@@ -416,7 +416,7 @@ class TestExistsCover:
 
     def test_empty_graph(self):
         assert exists_total_dominating_set(Graph(0, ()), 0)
-        assert _exists_cover([], 0, 0, 0) == []
+        assert _exists_cover([], 0, 0) == []
 
 
 class TestPackingBound:

@@ -23,6 +23,7 @@ from totbond.formats import (
     GRAPH6_HEADER,
     PLANAR_CODE_HEADER,
     FormatError,
+    _g6_size_bytes,
     edges_text,
     graph6_bytes,
     iter_graph6,
@@ -83,6 +84,22 @@ class TestGraph6:
         assert blob[0] == 126  # four-byte size marker
         assert parse_graph6(blob) == g
 
+    def test_size_field_bytes(self):
+        # each form at both ends of its range, checked apart from the oracle
+        # codec, which writes its size field with this same function
+        for n, want in (
+            (0, b"?"),
+            (62, b"}"),
+            (63, b"~??~"),
+            (258047, b"~}~~"),
+            (258048, b"~~???~??"),
+            (2**36 - 1, b"~~~~~~~~"),
+        ):
+            assert _g6_size_bytes(n) == want, n
+        for n in (-1, 2**36):
+            with pytest.raises(ValueError):
+                _g6_size_bytes(n)
+
     def test_bad_byte_reports_offset(self):
         with pytest.raises(FormatError) as err:
             parse_graph6(b"C\x1f~")
@@ -117,6 +134,11 @@ class TestGraph6:
             b"C~~~",  # trailing bytes
             b"~??",  # truncated four-byte size field
             b"~~???",  # truncated eight-byte size field
+            # truncated size fields, at offsets 1, 2, 2 and 7
+            b"~",
+            b"~~",
+            b"~?",
+            b"~~?????",
         ]
         clean = graph6_bytes(path(100))
         assert clean[0] == 126 and len(clean) == 829
@@ -131,6 +153,8 @@ class TestGraph6:
         with pytest.raises(FormatError) as err:
             parse_graph6(bad)
         assert err.value.offset == 700
+        # n = 1 in the four-byte form is not canonical, yet both codecs read it
+        assert parse_graph6(b"~??@") == bitwise_parse_graph6(b"~??@") == Graph(1, (0,))
 
     def test_stream_error_names_the_line(self):
         # offsets count from the start of the bad record, so the stream
