@@ -287,11 +287,14 @@ def _load_with_embeddings(path: str):
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    from .planar import detect_borodin, detect_girth4_config
+    from .planar import AT_MOST, detect_borodin, detect_girth4_config
 
     rules = _rules("detect", args.rules, ("g4", "borodin"))
     if "borodin" in rules:
+        reading = args.reading or AT_MOST
         pairs = _load_with_embeddings(args.input)
+    elif args.reading is not None:
+        raise SystemExit("--reading applies only to the borodin rule")
     else:  # g4 reads degrees only
         pairs = [(g, None) for g in _load_inputs(args.input)]
     for g, emb in pairs:
@@ -304,7 +307,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 elif emb is None:
                     raise ValueError("not planar")
                 else:
-                    report = detect_borodin(emb, args.reading)
+                    report = detect_borodin(emb, reading)
             except ValueError as exc:
                 fields.append(("error", exc))
             else:
@@ -313,7 +316,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 if rule == "g4":
                     fields += [("n", g.n), ("m", g.m), *found]
                 else:
-                    fields += [("n", g.n), ("m", g.m), ("reading", args.reading), *found,
+                    fields += [("n", g.n), ("m", g.m), ("reading", reading), *found,
                                ("skipped_faces", len(report.skipped_faces))]
             print(record_line("DETECT", fields))
     return 0
@@ -405,7 +408,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("detect", help="unavoidable-configuration detectors")
     p.add_argument("input")
     p.add_argument("--rules", default="g4,borodin")
-    p.add_argument("--reading", choices=("at-most", "exact"), default="at-most")
+    p.add_argument("--reading", choices=("at-most", "exact"),
+                   help="how borodin reads its triangle-edge list (default at-most)")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("discharge", help="balanced-charging ledgers and rule audit")

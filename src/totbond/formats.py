@@ -2,17 +2,19 @@
 
 graph6 packs the upper triangle of the adjacency matrix in column order
 (bit (u, v) for v = 1..n-1, u = 0..v-1) into 6-bit chunks offset by 63.
-The codec never steps through single bits: each column of the triangle
-is one binary string, the joined string is one integer, and base64 does
-the 6-bit grouping, since its alphabet is the same 64 values in another
-order and one translation table maps the one onto the other.  Decoding
-runs the same steps backwards.  The vertex count in front is a 1-, 4-
-or 8-byte size field, and one table, `_SIZE_FORMS`, lists those three
-forms for both directions.  Edge lists are text lines "u v" with 0-based
-vertex ids in ASCII decimal digits.  planar_code is the binary embedding
-format: a ">>planar_code<<" header, then per graph a vertex count
-followed by each vertex's clockwise neighbor list, 1-based and
-0-terminated.  Parse failures report the byte offset where they happened.
+The codec never steps through single bits.  The encoder ORs each column
+of the triangle into one integer at offset v(v-1)/2, reverses that
+integer's binary digits with one `format`, and lets base64 do the 6-bit
+grouping, since its alphabet is the same 64 values in another order and
+one translation table maps the one onto the other.  Decoding runs the
+same steps backwards, reading each column as one binary string.  The
+vertex count in front is a 1-, 4- or 8-byte size field, and one table,
+`_SIZE_FORMS`, lists those three forms for both directions.  Edge lists
+are text lines "u v" with 0-based vertex ids in ASCII decimal digits.
+planar_code is the binary embedding format: a ">>planar_code<<" header,
+then per graph a vertex count followed by each vertex's clockwise
+neighbor list, 1-based and 0-terminated.  Parse failures report the byte
+offset where they happened.
 """
 from __future__ import annotations
 
@@ -72,12 +74,19 @@ def _g6_size_bytes(n: int) -> bytes:
 def graph6_bytes(g: Graph) -> bytes:
     """Encode a graph as one graph6 record (no header, no newline)."""
     n = g.n
-    # column v holds the bits (u, v) for u = 0..v-1, lowest u first
-    bits = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
-    nchars = (len(bits) + 5) // 6
-    # base64 packs the same 6-bit groups, 4 to every 3 bytes
+    adj = g.adj
+    # column v holds the bits (u, v) for u = 0..v-1, at stream positions
+    # v(v-1)/2 + u: bit p of x is bit p of the stream
+    x = 0
+    nbits = 0
+    for v in range(1, n):
+        x |= (adj[v] & ((1 << v) - 1)) << nbits
+        nbits += v
+    nchars = (nbits + 5) // 6
+    # base64 packs the same 6-bit groups, 4 to every 3 bytes; the stream
+    # starts at the most significant bit, so read x's digits reversed
     nbytes = (nchars + 3) // 4 * 3
-    packed = int(bits or "0", 2) << (8 * nbytes - len(bits))
+    packed = int(format(x, f"0{nbits}b")[::-1], 2) << (8 * nbytes - nbits)
     body = base64.b64encode(packed.to_bytes(nbytes, "big"))[:nchars]
     return _g6_size_bytes(n) + body.translate(_FROM_B64)
 

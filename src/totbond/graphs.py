@@ -130,10 +130,15 @@ class Graph:
         return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(a.bit_count() for a in self.adj)
+        return self._degrees
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        """Vertex degrees, counted once per graph: detectors and bounds read them often."""
+        return tuple(map(int.bit_count, self.adj))
 
     def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
+        return min(self._degrees, default=0)
 
     def max_degree(self) -> int:
         return self._max_degree
@@ -257,9 +262,11 @@ class Graph:
         adj = self.adj
         for u, a in enumerate(adj):
             higher = a >> (u + 1) << (u + 1)
-            for v in _bits(higher):
-                if a & adj[v]:
+            while higher:
+                bit = higher & -higher
+                if a & adj[bit.bit_length() - 1]:
                     return True
+                higher ^= bit
         return False
 
     # -- degree-structure queries --------------------------------------------

@@ -34,7 +34,7 @@ def _lr_planarity(g: Graph, embed: bool):
     clockwise rotation of every vertex, the one networkx's embedding
     builds by cw/ccw insertions, here written out directly: a vertex's
     rotation starts at its DFS parent, a DFS root's at the first
-    neighbour networkx places around its only child.
+    neighbour networkx places around its first child.
 
     Edges get ids in the order the DFS orients them; per-edge state
     lives in lists indexed by id, and the id ``none = m`` stands for
@@ -43,6 +43,19 @@ def _lr_planarity(g: Graph, embed: bool):
     it does there.  A conflict pair is the list [left.low, left.high,
     right.low, right.high]; an interval is empty when both ends are
     none, and pairs are compared by identity.
+
+    Each of the three DFS walks (orientation, testing, embedding) goes
+    down tree edges and back up parent edges, so it needs no stack and
+    never re-enters a vertex at an edge it left off at.  The orientation
+    sets a tree edge's nesting depth, and folds its lowpoints into the
+    parent edge, once, when the child finishes; a back edge's lowpt2 is
+    its tail's height, so it is never chordal and its fold needs no min.
+    The testing walk runs networkx's add_constraints and
+    remove_back_edges inline, each at one place: an edge's return edges
+    are integrated at its tail once, a back edge's as it is met and a
+    tree edge's once its child is finished and the back edges returning
+    to its tail are trimmed.  The embedding walk appends each child, with
+    its flanking back edges, to its parent's rotation as it leaves it.
     """
     n = g.n
     adj = g.adj
@@ -50,65 +63,74 @@ def _lr_planarity(g: Graph, embed: bool):
     if n > 2 and m > 3 * n - 6:
         return None
     none = m
-    src = [0] * m
     dst = [0] * m
     out: list[list[int]] = [[] for _ in range(n)]  # DG[v], in orientation order
     lowpt = [0] * m
     lowpt2 = [0] * m
     nesting = [0] * m
     height = [-1] * n
+    parent = [0] * n  # the DFS parent, for a vertex that is not a root
     parent_edge = [none] * n
     roots = []
 
     # orientation: a DFS over ascending adjacency, as networkx adds
     # g.edges(); rest[v] holds the neighbours whose edge has no id yet
     rest = list(adj)
-    resume = [none] * n  # the tree edge v resumes at when revisited
     k = 0
     for r in range(n):
         if height[r] >= 0:
             continue
         height[r] = 0
         roots.append(r)
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            e = parent_edge[v]
-            hv = height[v]
-            while rest[v]:
-                vw = resume[v]
-                if vw != none:
-                    resume[v] = none
-                else:
-                    todo = rest[v]
-                    w = (todo & -todo).bit_length() - 1
-                    vw = k
-                    k += 1
-                    src[vw] = v
-                    dst[vw] = w
-                    out[v].append(vw)
-                    rest[w] &= ~(1 << v)
+        v, hv, e = r, 0, none  # e is v's parent edge, hv its height
+        while True:
+            todo = rest[v]
+            if todo:
+                bit = todo & -todo
+                rest[v] = todo ^ bit
+                w = bit.bit_length() - 1
+                rest[w] &= ~(1 << v)
+                vw = k
+                k += 1
+                dst[vw] = w
+                out[v].append(vw)
+                low = height[w]
+                if low < 0:  # tree edge: walk down to w
                     lowpt[vw] = lowpt2[vw] = hv
-                    if height[w] < 0:  # tree edge: finish w first
-                        parent_edge[w] = vw
-                        height[w] = hv + 1
-                        resume[v] = vw
-                        stack.append(v)
-                        stack.append(w)
-                        break
-                    lowpt[vw] = height[w]  # back edge
-                low = lowpt[vw]
-                nesting[vw] = 2 * low + (lowpt2[vw] < hv)  # +1 when chordal
-                if e != none:
-                    if low < lowpt[e]:
-                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
-                        lowpt[e] = low
-                    elif low > lowpt[e]:
-                        lowpt2[e] = min(lowpt2[e], low)
-                    else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-                todo = rest[v]
-                rest[v] = todo & (todo - 1)
+                    parent[w] = v
+                    parent_edge[w] = vw
+                    v, hv, e = w, hv + 1, vw
+                    height[w] = hv
+                    continue
+                # back edge to an ancestor, so e is a tree edge
+                lowpt[vw] = low
+                nesting[vw] = 2 * low
+                if low < lowpt[e]:
+                    lowpt2[e] = lowpt[e]
+                    lowpt[e] = low
+                elif low > lowpt[e] and low < lowpt2[e]:
+                    lowpt2[e] = low
+                continue
+            if e == none:
+                break
+            # v is finished: walk up its tree edge e, whose lowpoints are final
+            v = parent[v]
+            hv -= 1
+            low = lowpt[e]
+            low2 = lowpt2[e]
+            nesting[e] = 2 * low + (low2 < hv)  # +1 when chordal
+            f = parent_edge[v]
+            if f != none:
+                lf = lowpt[f]
+                if low < lf:
+                    lowpt2[f] = lf if lf < low2 else low2
+                    lowpt[f] = low
+                elif low > lf:
+                    if low < lowpt2[f]:
+                        lowpt2[f] = low
+                elif low2 < lowpt2[f]:
+                    lowpt2[f] = low2
+            e = f
 
     # testing: stable sorts over orientation order, as networkx's sorted()
     ordered = [sorted(row, key=nesting.__getitem__) for row in out]
@@ -117,189 +139,176 @@ def _lr_planarity(g: Graph, embed: bool):
     lowpt_edge = [0] * m
     ref = [none] * (m + 1)
     side = [1] * (m + 1)
-
-    def add_constraints(ei: int, e: int) -> bool:
-        pl_lo = pl_hi = pr_lo = pr_hi = none
-        bottom = stack_bottom[ei]
-        # merge return edges of ei into P.right
-        while True:
-            ql_lo, ql_hi, qr_lo, qr_hi = pairs.pop()
-            if ql_lo != none or ql_hi != none:
-                ql_lo, ql_hi, qr_lo, qr_hi = qr_lo, qr_hi, ql_lo, ql_hi
-                if ql_lo != none or ql_hi != none:
-                    return False
-            if lowpt[qr_lo] > lowpt[e]:
-                if pr_lo == none and pr_hi == none:
-                    pr_hi = qr_hi
-                else:
-                    ref[pr_lo] = qr_hi
-                pr_lo = qr_lo
-            else:  # align
-                ref[qr_lo] = lowpt_edge[e]
-            if (pairs[-1] if pairs else None) is bottom:
-                break
-        # merge conflicting return edges of earlier siblings into P.left
-        low = lowpt[ei]
-        while True:
-            ql_lo, ql_hi, qr_lo, qr_hi = pairs[-1]
-            left_hit = (ql_lo != none or ql_hi != none) and lowpt[ql_hi] > low
-            right_hit = (qr_lo != none or qr_hi != none) and lowpt[qr_hi] > low
-            if not (left_hit or right_hit):
-                break
-            pairs.pop()
-            if right_hit:
-                ql_lo, ql_hi, qr_lo, qr_hi = qr_lo, qr_hi, ql_lo, ql_hi
-                if left_hit:
-                    return False
-            ref[pr_lo] = qr_hi
-            if qr_lo != none:
-                pr_lo = qr_lo
-            if pl_lo == none and pl_hi == none:
-                pl_hi = ql_hi
-            else:
-                ref[pl_lo] = ql_hi
-            pl_lo = ql_lo
-        if pl_lo != none or pl_hi != none or pr_lo != none or pr_hi != none:
-            pairs.append([pl_lo, pl_hi, pr_lo, pr_hi])
-        return True
-
-    def remove_back_edges(e: int) -> None:
-        u = src[e]
-        hu = height[u]
-        # drop whole conflict pairs whose lowest return point is u
-        while pairs:
-            l_lo, l_hi, r_lo, r_hi = pairs[-1]
-            if l_lo == none and l_hi == none:
-                lowest = lowpt[r_lo]
-            elif r_lo == none and r_hi == none:
-                lowest = lowpt[l_lo]
-            else:
-                lowest = min(lowpt[l_lo], lowpt[r_lo])
-            if lowest != hu:
-                break
-            pairs.pop()
-            if l_lo != none:
-                side[l_lo] = -1
-        if pairs:  # trim the top pair in place; it keeps its identity
-            p = pairs[-1]
-            hi = p[1]
-            while hi != none and dst[hi] == u:
-                hi = ref[hi]
-            p[1] = hi
-            if hi == none and p[0] != none:  # just emptied
-                ref[p[0]] = p[2]
-                side[p[0]] = -1
-                p[0] = none
-            hi = p[3]
-            while hi != none and dst[hi] == u:
-                hi = ref[hi]
-            p[3] = hi
-            if hi == none and p[2] != none:
-                ref[p[2]] = p[0]
-                side[p[2]] = -1
-                p[2] = none
-        if lowpt[e] < hu:  # side of e is side of a highest return edge
-            hl, hr = pairs[-1][1], pairs[-1][3]
-            ref[e] = hl if hl != none and (hr == none or lowpt[hl] > lowpt[hr]) else hr
-
-    ind = [0] * n
+    ind = [0] * n  # ind[v]: the position in ordered[v] v's walk is at
     for r in roots:
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            e = parent_edge[v]
-            hv = height[v]
+        v, i = r, 0
+        while True:
             row = ordered[v]
-            d = len(row)
-            i = ind[v]
-            while i < d:
-                ei = resume[v]
-                if ei != none:
-                    resume[v] = none
-                else:
-                    ei = row[i]
-                    stack_bottom[ei] = pairs[-1] if pairs else None
-                    w = dst[ei]
-                    if parent_edge[w] == ei:
-                        resume[v] = ei
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        break
-                    lowpt_edge[ei] = ei
-                    pairs.append([none, none, ei, ei])
-                if lowpt[ei] < hv:  # integrate new return edges
-                    if i == 0:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
-                        return None
-                i += 1
+            if i < len(row):
+                ei = row[i]
+                stack_bottom[ei] = pairs[-1] if pairs else None
+                w = dst[ei]
+                if parent_edge[w] == ei:  # tree edge: test w's subtree first
+                    ind[v] = i
+                    v, i = w, 0
+                    continue
+                lowpt_edge[ei] = ei
+                pairs.append([none, none, ei, ei])
             else:
-                if e != none:
-                    remove_back_edges(e)
+                ei = parent_edge[v]
+                if ei == none:
+                    break
+                # v is finished: remove the back edges returning to its parent u
+                u = parent[v]
+                hu = height[u]
+                # drop whole conflict pairs whose lowest return point is u
+                while pairs:
+                    l_lo, l_hi, r_lo, r_hi = pairs[-1]
+                    if l_lo == none and l_hi == none:
+                        lowest = lowpt[r_lo]
+                    elif r_lo == none and r_hi == none:
+                        lowest = lowpt[l_lo]
+                    else:
+                        lowest = min(lowpt[l_lo], lowpt[r_lo])
+                    if lowest != hu:
+                        break
+                    pairs.pop()
+                    if l_lo != none:
+                        side[l_lo] = -1
+                if pairs:  # trim the top pair in place; it keeps its identity
+                    p = pairs[-1]
+                    hi = p[1]
+                    while hi != none and dst[hi] == u:
+                        hi = ref[hi]
+                    p[1] = hi
+                    if hi == none and p[0] != none:  # just emptied
+                        ref[p[0]] = p[2]
+                        side[p[0]] = -1
+                        p[0] = none
+                    hi = p[3]
+                    while hi != none and dst[hi] == u:
+                        hi = ref[hi]
+                    p[3] = hi
+                    if hi == none and p[2] != none:
+                        ref[p[2]] = p[0]
+                        side[p[2]] = -1
+                        p[2] = none
+                if lowpt[ei] < hu:  # side of ei is side of a highest return edge
+                    hl, hr = pairs[-1][1], pairs[-1][3]
+                    ref[ei] = hl if hl != none and (hr == none or lowpt[hl] > lowpt[hr]) else hr
+                v, i = u, ind[u]
+            # integrate the return edges of ei, the i-th out-edge of v
+            if lowpt[ei] < height[v]:
+                e = parent_edge[v]
+                if i == 0:
+                    lowpt_edge[e] = lowpt_edge[ei]
+                else:  # add constraints of ei
+                    pl_lo = pl_hi = pr_lo = pr_hi = none
+                    bottom = stack_bottom[ei]
+                    low = lowpt[e]
+                    # merge return edges of ei into P.right
+                    while True:
+                        ql_lo, ql_hi, qr_lo, qr_hi = pairs.pop()
+                        if ql_lo != none or ql_hi != none:
+                            if qr_lo != none or qr_hi != none:
+                                return None
+                            qr_lo, qr_hi = ql_lo, ql_hi
+                        if lowpt[qr_lo] > low:
+                            if pr_lo == none and pr_hi == none:
+                                pr_hi = qr_hi
+                            else:
+                                ref[pr_lo] = qr_hi
+                            pr_lo = qr_lo
+                        else:  # align
+                            ref[qr_lo] = lowpt_edge[e]
+                        if (pairs[-1] if pairs else None) is bottom:
+                            break
+                    # merge conflicting return edges of earlier siblings into P.left
+                    low = lowpt[ei]
+                    while True:
+                        ql_lo, ql_hi, qr_lo, qr_hi = pairs[-1]
+                        left_hit = (ql_lo != none or ql_hi != none) and lowpt[ql_hi] > low
+                        right_hit = (qr_lo != none or qr_hi != none) and lowpt[qr_hi] > low
+                        if not (left_hit or right_hit):
+                            break
+                        pairs.pop()
+                        if right_hit:
+                            if left_hit:
+                                return None
+                            ql_lo, ql_hi, qr_lo, qr_hi = qr_lo, qr_hi, ql_lo, ql_hi
+                        ref[pr_lo] = qr_hi
+                        if qr_lo != none:
+                            pr_lo = qr_lo
+                        if pl_lo == none and pl_hi == none:
+                            pl_hi = ql_hi
+                        else:
+                            ref[pl_lo] = ql_hi
+                        pl_lo = ql_lo
+                    if pl_lo != none or pl_hi != none or pr_lo != none or pr_hi != none:
+                        pairs.append([pl_lo, pl_hi, pr_lo, pr_hi])
+            i += 1
     if not embed:
         return True
 
     # sign: resolve relative sides along ref chains (networkx's sign())
     for e0 in range(m):
-        chain = []
-        e = e0
-        while ref[e] != none:
-            chain.append(e)
-            e = ref[e]
-        s = side[e]
-        for e in reversed(chain):
-            s = side[e] = side[e] * s
-            ref[e] = none
-        nesting[e0] *= side[e0]
+        if ref[e0] != none:
+            chain = []
+            e = e0
+            while ref[e] != none:
+                chain.append(e)
+                e = ref[e]
+            s = side[e]
+            for e in reversed(chain):
+                s = side[e] = side[e] * s
+                ref[e] = none
+    signed = [depth * s for depth, s in zip(nesting, side)]
 
     # embedding: the walk networkx's dfs_embedding takes, over out-edges
     # sorted by signed nesting depth.  A back edge v -> w lands next to the
     # child c of w whose subtree the walk is in: on the left side each one
     # counterclockwise of the one before, on the right side each one
-    # clockwise of c, so both lists are read back reversed
-    for v, row in enumerate(out):
-        ordered[v] = sorted(row, key=nesting.__getitem__)
+    # clockwise of c, so both lists are read back reversed when the walk
+    # leaves c.  Each rotation starts at the parent, which networkx
+    # inserts as the first neighbour; a root starts at its first child's
+    # left back edges, if it has any
+    ordered = [sorted(row, key=signed.__getitem__) for row in out]
     child = [0] * n  # child[u]: the child of u whose subtree the walk is in
     left: list[list[int]] = [[] for _ in range(n)]
     right: list[list[int]] = [[] for _ in range(n)]
-    ind = [0] * n
+    rotation: list[list[int]] = [[] for _ in range(n)]
     for r in roots:
-        stack = [r]
-        while stack:
-            v = stack.pop()
+        v, i = r, 0
+        while True:
             row = ordered[v]
             d = len(row)
-            i = ind[v]
             while i < d:
                 ei = row[i]
                 i += 1
                 w = dst[ei]
-                if parent_edge[w] == ei:  # tree edge
+                if parent_edge[w] == ei:  # tree edge: walk down to w
                     child[v] = w
                     ind[v] = i
-                    stack.append(v)
-                    stack.append(w)
+                    rotation[w].append(v)
+                    v, i = w, 0
                     break
                 (right if side[ei] == 1 else left)[child[w]].append(v)
-
-    # each rotation starts at the parent, which networkx inserts as the
-    # first neighbour; a root starts at its only child's left back edges,
-    # if it has any
-    rotation = []
-    for w, row in enumerate(ordered):
-        e = parent_edge[w]
-        order = [] if e == none else [src[e]]
-        for ei in row:
-            c = dst[ei]
-            if parent_edge[c] == ei:
-                order += left[c][::-1]
-                order.append(c)
-                order += right[c][::-1]
+                rotation[v].append(w)
             else:
-                order.append(c)
-        rotation.append(tuple(order))
-    return tuple(rotation)
+                if v == r:
+                    break
+                u = parent[v]
+                order = rotation[u]
+                flank = left[v]
+                flank.reverse()
+                order += flank
+                order.append(v)
+                flank = right[v]
+                flank.reverse()
+                order += flank
+                v = u
+                i = ind[v]
+    return tuple(map(tuple, rotation))
 
 
 def is_planar(g: Graph) -> bool:
@@ -402,15 +411,25 @@ def detect_girth4_config(g: Graph) -> ConfigurationReport:
     if g.min_degree() < 3:
         raise ValueError("detector requires minimum degree 3")
     deg = g.degrees()
+    adj = g.adj
+    three = low = 0  # masks of the degree-3 and the degree-3-or-4 vertices
+    for v, d in enumerate(deg):
+        if d <= 4:
+            low |= 1 << v
+            if d == 3:
+                three |= 1 << v
+    # an edge uv, u < v, is a hit when one end has degree 3 and the other
+    # degree at most 4: a 3-vertex takes its later neighbours in low, and
+    # a 4-vertex its later neighbours in three
     a_hits = []
-    for u, v in g.edges():  # u < v already
-        p, q = sorted((deg[u], deg[v]))
-        if p == 3 and q <= 4:
-            a_hits.append((u, v))
-    b_hits = [
-        v for v in range(g.n)
-        if deg[v] == 5 and sum(1 for u in g.neighbors(v) if deg[u] == 3) >= 4
-    ]
+    for u, d in enumerate(deg):
+        if d <= 4:
+            later = adj[u] & (three if d == 4 else low) & ~((2 << u) - 1)
+            while later:
+                bit = later & -later
+                a_hits.append((u, bit.bit_length() - 1))
+                later ^= bit
+    b_hits = [v for v, d in enumerate(deg) if d == 5 and (adj[v] & three).bit_count() >= 4]
     found = tuple(
         tag for tag, hit in zip(GIRTH4_TAGS, (a_hits, b_hits)) if hit
     )
@@ -486,5 +505,14 @@ def discharge_audit(emb: Embedding) -> ChargeLedger:
         raise ValueError("discharging rule requires minimum degree 3")
     if g.has_triangle():
         raise ValueError("discharging rule requires girth at least 4")
-    moves = [(u, v) for v in range(g.n) if g.degree(v) == 3 for u in g.neighbors(v)]
+    # each 3-vertex v, in ascending order, takes from its neighbours u in ascending order
+    moves = []
+    adj = g.adj
+    for v, d in enumerate(g.degrees()):
+        if d == 3:
+            a = adj[v]
+            while a:
+                low = a & -a
+                moves.append((low.bit_length() - 1, v))
+                a ^= low
     return _ledger(emb, moves)

@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from totbond.embedding import Embedding
 from totbond.formats import GRAPH6_HEADER, PLANAR_CODE_HEADER, FormatError, _g6_size_bytes, graph6_bytes
 from totbond.graphs import Graph, _bits
+from totbond.planar import GIRTH4_TAGS, ConfigurationReport
 from totbond.smallgraphs import count_automorphisms, enumerate_graph_classes
 from totbond.trees import MAX_TREE_ORDER, _tree
 
@@ -591,6 +592,38 @@ def per_pair_degree_pairs(g: Graph, degree: int, lo: int, hi: int) -> Iterator[t
         for b in vs[i + 1 :]:
             if lo <= g.distance(a, b) <= hi:
                 yield a, b
+
+
+# The girth-4 detector and discharging moves that `totbond.planar`
+# replaced: one sort per edge and one neighbour walk per 3-vertex, over
+# `Graph.edges` and `Graph.neighbors`.  The production code must give
+# equal reports and the same moves in the same order.
+def edge_sort_girth4_config(g: Graph) -> ConfigurationReport:
+    """A (3,4-)-edge or a 5-vertex with four degree-3 neighbours."""
+    if g.min_degree() < 3:
+        raise ValueError("detector requires minimum degree 3")
+    deg = g.degrees()
+    a_hits = []
+    for u, v in g.edges():  # u < v already
+        p, q = sorted((deg[u], deg[v]))
+        if p == 3 and q <= 4:
+            a_hits.append((u, v))
+    b_hits = [
+        v for v in range(g.n)
+        if deg[v] == 5 and sum(1 for u in g.neighbors(v) if deg[u] == 3) >= 4
+    ]
+    found = tuple(tag for tag, hit in zip(GIRTH4_TAGS, (a_hits, b_hits)) if hit)
+    return ConfigurationReport(
+        tags=found,
+        hits={"g4-a": tuple(a_hits), "g4-b": tuple(b_hits)},
+        at_least_one=bool(found),
+    )
+
+
+def neighbour_walk_moves(g: Graph) -> list[tuple[int, int]]:
+    """The (donor, recipient) moves of 'every 3-vertex takes 1/3 from each
+    neighbour': 3-vertices ascending, each one's neighbours ascending."""
+    return [(u, v) for v in range(g.n) if g.degree(v) == 3 for u in g.neighbors(v)]
 
 
 # The graph6 codec that `totbond.formats` replaced: one Python step per bit

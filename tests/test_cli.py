@@ -433,6 +433,22 @@ class TestDetect:
         assert exc.value.code == message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("reading", ["exact", "at-most"])
+    def test_reading_without_borodin_exits_with_one_line(self, reading):
+        # g4 reads degrees only, so it refuses --reading before any input is read
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "/tmp/totbond-no-such-file.g6", "--rules", "g4", "--reading", reading])
+        assert exc.value.code == "--reading applies only to the borodin rule"
+
+    def test_reading_defaults_to_at_most_with_borodin(self, capsys, graph_file):
+        from totbond.corpus import icosahedron
+
+        f = graph_file(icosahedron())
+        assert main(["detect", f, "--rules", "g4,borodin"]) == 0
+        default = capsys.readouterr().out
+        assert main(["detect", f, "--rules", "g4,borodin", "--reading", "at-most"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_unknown_rule_rejected_before_reading_input(self):
         with pytest.raises(SystemExit, match="unknown detect rule 'bogus'"):
             main(["detect", "/tmp/totbond-no-such-file.g6", "--rules", "bogus"])

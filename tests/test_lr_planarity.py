@@ -123,6 +123,42 @@ def test_deep_stacked_triangulations():
         assert same_as_networkx(g)
 
 
+def plant_subdivision(n: int, edges, rng: random.Random):
+    """(n', edges') with a K5 or K3,3 subdivision planted on existing vertices:
+    its branch vertices are old ones, and each of its edges a new path with
+    one to three inner vertices, so the graph stays within 3n - 6 edges."""
+    branch = rng.sample(range(n), rng.choice((5, 6)))
+    if len(branch) == 5:
+        links = [(a, b) for i, a in enumerate(branch) for b in branch[i + 1:]]
+    else:
+        links = [(a, b) for a in branch[:3] for b in branch[3:]]
+    edges = list(edges)
+    for a, b in links:
+        inner = list(range(n, n + rng.randint(1, 3)))
+        n += len(inner)
+        walk = [a, *inner, b]
+        edges += zip(walk, walk[1:])
+    return n, edges
+
+
+def test_stacked_triangulations_at_corpus_sizes():
+    # girth4 reaches n = 363: deep DFS paths, and with a planted K5 or
+    # K3,3 subdivision a conflict deep in the DFS ends the test
+    rng = random.Random(363)
+    for _ in range(20):
+        n = rng.randint(150, 400)
+        edges = stacked_triangulation(n, rng)
+        keep = 1 - rng.random() * 0.4
+        edges = [e for e in edges if rng.random() < keep]
+        for planted in (False, True):
+            size, es = plant_subdivision(n, edges, rng) if planted else (n, edges)
+            label = list(range(size))
+            rng.shuffle(label)
+            g = Graph.from_edges(size, [(label[u], label[v]) for u, v in es])
+            assert g.m <= 3 * g.n - 6
+            assert same_as_networkx(g) is not planted
+
+
 def test_grids_with_chords_no_recursion():
     rng = random.Random(77)
     kinds = set()

@@ -11,20 +11,23 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
-from oracles import is_spherical, petersen
+from oracles import edge_sort_girth4_config, is_spherical, neighbour_walk_moves, petersen
 
 from totbond.corpus import (
     cube,
     dodecahedron,
+    girth4_corpus,
     icosahedron,
     icosahedron_incidence,
     octahedron,
+    planar_min3_corpus,
     wheel,
 )
 from totbond.embedding import Embedding
 from totbond.families import complete, complete_bipartite, cycle, path
 from totbond.graphs import Graph
 from totbond.planar import (
+    _ledger,
     charge_ledger,
     detect_borodin,
     detect_girth4_config,
@@ -296,3 +299,34 @@ class TestCharging:
         g = cycle(4)
         with pytest.raises(ValueError):
             discharge_audit(planar_embedding(g))
+
+
+def min3_graphs():
+    """Every class with n <= 7 and minimum degree 3, then both corpora."""
+    for n in range(4, 8):
+        yield from (g for g in enumerate_graph_classes(n) if g.min_degree() >= 3)
+    yield from planar_min3_corpus()
+    yield from girth4_corpus()
+
+
+class TestAgainstOracles:
+    """The degree-mask detector and discharging moves match the per-edge
+    walks they replaced, report for report and ledger for ledger."""
+
+    def test_girth4_reports(self):
+        hits = set()
+        for g in min3_graphs():
+            rep = detect_girth4_config(g)
+            assert rep == edge_sort_girth4_config(g), g.edges()
+            hits.update(rep.tags)
+        assert hits == {"g4-a", "g4-b"}
+
+    def test_discharge_ledgers(self):
+        audited = 0
+        for g in min3_graphs():
+            emb = planar_embedding(g)
+            if emb is None or g.has_triangle():
+                continue
+            assert discharge_audit(emb) == _ledger(emb, neighbour_walk_moves(g)), g.edges()
+            audited += 1
+        assert audited > 500
