@@ -107,17 +107,17 @@ def _is_cycle_graph(g: Graph) -> bool:
 def _multipartite_parts(g: Graph) -> tuple[int, ...] | None:
     """Part sizes if g is complete multipartite, else None.
 
-    The complement of a complete multipartite graph is a disjoint union
-    of cliques, one per part.
+    In a complete multipartite graph each part is the non-neighbourhood
+    of each of its vertices, the vertex itself included.
     """
-    comp = g.complement()
+    full = (1 << g.n) - 1
     seen = 0
     parts = []
     for v in range(g.n):
         if seen >> v & 1:
             continue
-        cluster = comp.adj[v] | (1 << v)
-        if any(comp.adj[u] | (1 << u) != cluster for u in _bits(cluster)):
+        cluster = full & ~g.adj[v]
+        if any(full & ~g.adj[u] != cluster for u in _bits(cluster)):
             return None
         seen |= cluster
         parts.append(cluster.bit_count())
@@ -132,7 +132,7 @@ def _within(cert: BondageCertificate, bound: float) -> bool | None:
     """
     if cert.status == "finite":
         return cert.b_t <= bound
-    if cert.status == "unknown-above-cap" and (cert.cap is None or cert.cap < bound):
+    if cert.status == "unknown-above-cap" and cert.cap < bound:
         return None
     # infinite, or every edge set up to the bound was searched and none worked
     return False
@@ -221,8 +221,6 @@ class Bound(NamedTuple):
             detail.append(("witness", edges_text(cert.witness)))
         elif cert.status == "infinite":
             detail.append(("criterion", cert.criterion))
-        elif cert.cap >= g.m:  # no edge set of any size works
-            detail.append(("note", "exhausted-all-edge-subsets"))
         return _outcome(tag, g, HOLDS if within else VIOLATED, detail)
 
 
@@ -381,7 +379,7 @@ def _search_one(g: Graph, k: int, work_budget: int | None) -> GraphOutcome | Non
     if g.has_isolated_vertex():  # b_t is undefined, so it is no match
         return None
     cert = bondage(g, cap=k, work_budget=work_budget)
-    if cert.status != "finite" or cert.b_t != k:
+    if cert.b_t != k:  # None unless the status is finite
         return None
     detail = (
         ("b_t", cert.b_t),

@@ -111,7 +111,7 @@ class Graph:
     @cached_property
     def m(self) -> int:
         """Edge count, summed once per graph: campaigns ask it several times."""
-        return sum(a.bit_count() for a in self.adj) // 2
+        return sum(self._degrees) // 2
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -127,26 +127,22 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self._degrees[v]
 
     def degrees(self) -> tuple[int, ...]:
         return self._degrees
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
-        """Vertex degrees, counted once per graph: detectors and bounds read them often."""
+        """Vertex degrees, counted once per graph: Graph's only degree count,
+        which m, degree, min_degree, max_degree and support_vertices read."""
         return tuple(map(int.bit_count, self.adj))
 
     def min_degree(self) -> int:
         return min(self._degrees, default=0)
 
     def max_degree(self) -> int:
-        return self._max_degree
-
-    @cached_property
-    def _max_degree(self) -> int:
-        """Maximum degree, found once per graph: witness claims and bounds ask it often."""
-        return max(map(int.bit_count, self.adj), default=0)
+        return max(self._degrees, default=0)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj[v]))
@@ -175,13 +171,6 @@ class Graph:
             for v in _bits(self.adj[u]):
                 masks[perm[u]] |= 1 << perm[v]
         return Graph._trusted(self.n, tuple(masks))
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph._trusted(
-            self.n,
-            tuple((full & ~a & ~(1 << v)) for v, a in enumerate(self.adj)),
-        )
 
     # -- connectivity and metrics -------------------------------------------
 
@@ -273,11 +262,8 @@ class Graph:
 
     def support_vertices(self) -> tuple[int, ...]:
         """Vertices adjacent to at least one degree-1 vertex, ascending."""
-        leaf_mask = 0
-        for v in range(self.n):
-            if self.adj[v].bit_count() == 1:
-                leaf_mask |= 1 << v
-        return tuple(v for v in range(self.n) if self.adj[v] & leaf_mask)
+        leaf_mask = sum(1 << v for v, d in enumerate(self._degrees) if d == 1)
+        return tuple(v for v, a in enumerate(self.adj) if a & leaf_mask)
 
     # -- induced cycle search -------------------------------------------------
 

@@ -32,9 +32,7 @@ def _refine_invariant(g: Graph) -> tuple:
 def _search_order(g: Graph) -> list[int]:
     # expand from the highest-degree vertex, always picking the vertex
     # with the most already-ordered neighbors; keeps the mapped region
-    # connected where possible so adjacency checks prune early
-    if g.n == 0:
-        return []
+    # connected where possible so adjacency checks prune early; n >= 1
     degs = g.degrees()
     start = max(range(g.n), key=lambda v: (degs[v], -v))
     order = [start]

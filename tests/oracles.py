@@ -730,6 +730,38 @@ def tree_bfs_girth(g: Graph):
     return best
 
 
+# The degree queries and the complete-multipartite test as they were before
+# `Graph` kept one cached degree tuple and lost its complement: each count
+# read straight off the adjacency masks, and the parts read off a complement
+# graph built for the purpose.  The production code must give equal answers.
+def mask_degree_queries(g: Graph) -> tuple:
+    """m, the degrees, the least and largest degree and the support
+    vertices, each counted from the masks."""
+    degrees = tuple(bin(a).count("1") for a in g.adj)
+    m = sum(g.adj[u] >> v & 1 for u in range(g.n) for v in range(u + 1, g.n))
+    support = tuple(v for v in range(g.n)
+                    if any(bin(g.adj[u]).count("1") == 1 for u in _bits(g.adj[v])))
+    return m, degrees, min(degrees, default=0), max(degrees, default=0), support
+
+
+def complement_multipartite_parts(g: Graph) -> tuple[int, ...] | None:
+    """Part sizes if g is complete multipartite, else None: the complement
+    of such a graph is a disjoint union of cliques, one per part."""
+    full = (1 << g.n) - 1
+    comp = [full & ~a & ~(1 << v) for v, a in enumerate(g.adj)]
+    seen = 0
+    parts = []
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        cluster = comp[v] | (1 << v)
+        if any(comp[u] | (1 << u) != cluster for u in _bits(cluster)):
+            return None
+        seen |= cluster
+        parts.append(cluster.bit_count())
+    return tuple(sorted(parts, reverse=True))
+
+
 # Writers and builders that only the tests use.
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import prior_bound_rows
+from oracles import complement_multipartite_parts, prior_bound_rows
 from totbond.bondage import BondageCertificate, bondage
 from totbond.campaigns import (
     HOLDS,
@@ -222,6 +222,27 @@ class TestMultipartite:
         assert _multipartite_parts(complete_bipartite(2, 4)) == (4, 2)
         assert _multipartite_parts(complete(4)) == (1, 1, 1, 1)
         assert _multipartite_parts(path(4)) is None
+
+    def test_parts_match_the_complement_oracle(self):
+        import random
+        from itertools import combinations_with_replacement
+
+        from totbond.smallgraphs import enumerate_graph_classes
+
+        graphs = [g for n in range(1, 8) for g in enumerate_graph_classes(n)]
+        rng = random.Random(29)
+        members = 0
+        for k in range(1, 5):
+            for sizes in combinations_with_replacement(range(1, 5), k):
+                g = complete_multipartite(sizes[::-1])
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                graphs += [g, g.relabel(perm)]
+                assert _multipartite_parts(g) == tuple(sorted(sizes, reverse=True))
+                members += 1
+        found = [_multipartite_parts(g) for g in graphs]
+        assert found == [complement_multipartite_parts(g) for g in graphs]
+        assert members == 69 and found.count(None) > 1000
 
     def test_campaign_holds(self):
         corpus = [complete_multipartite(p) for p in ((2, 2), (2, 2, 2), (3, 2), (3, 3))]

@@ -85,6 +85,12 @@ class TestGen:
         assert str(exc.value) == f"{flag}: filters only --classes"
         assert capsys.readouterr().out == ""
 
+    def test_no_source_exits_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen"])
+        assert exc.value.code == "nothing to generate: pass --family/--trees/--classes/--corpus"
+        assert capsys.readouterr().out == ""
+
     def test_classes_filtered(self, capsys):
         assert main(["gen", "--classes", "5", "--triangle-free"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 14
@@ -202,6 +208,12 @@ class TestWitness:
         out = capsys.readouterr().out
         assert "rule=multipartite" in out
         assert "claimed=10" in out or "claimed_bound=10" in out
+
+    def test_multipartite_without_parts_exits_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--rule", "multipartite"])
+        assert exc.value.code == "multipartite rule needs --parts like 3,2,2"
+        assert capsys.readouterr().out == ""
 
     def test_wrong_anchor_count_is_clean_error(self, graph_file):
         f = graph_file(cycle(4))
@@ -660,6 +672,7 @@ def test_import_leaves_the_process_pool_unloaded():
 class TestCorpusResolution:
     def test_named(self):
         assert len(resolve_corpus("planar-min3")) >= 15
+        assert len(resolve_corpus("girth4")) == 513
 
     def test_range(self):
         assert [g.n for g in resolve_corpus("cycles:3..5")] == [3, 4, 5]

@@ -104,6 +104,18 @@ class TestParametricBuilders:
         assert g.girth() == 3
         assert is_planar(g)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cylinder(2, 1), "need ring size >= 3 and at least one layer"),
+        (lambda: capped_cylinder(5, 2), "cap needs an even ring of size >= 6"),
+        (lambda: double_capped_cylinder(7, 2), "caps need an even ring of size >= 6"),
+        (lambda: wheel(2), "rim must be a cycle"),
+        (lambda: antiprism(2), "antiprism needs rings of size >= 3"),
+    ], ids=["cylinder", "capped", "double-capped", "wheel", "antiprism"])
+    def test_bad_parameters_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_theta(self):
         g = theta_graph(2, 3, 4)
         assert g.degree(0) == 3 and g.degree(1) == 3

@@ -67,6 +67,15 @@ class TestBasicFamilies:
         assert g.has_edge(0, 2)
         assert g.has_edge(0, 4)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: complete_multipartite([]), "part sizes must be positive"),
+        (lambda: star(0), "stars need at least one leaf"),
+    ], ids=["no-parts", "no-leaves"])
+    def test_empty_builds_rejected(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_star(self):
         g = star(4)
         assert g.n == 5

@@ -109,6 +109,11 @@ class TestGraph6:
         with pytest.raises(FormatError):
             parse_graph6(b"E")  # promises 6 vertices, no matrix bytes
 
+    def test_header_alone_is_an_empty_record(self):
+        with pytest.raises(FormatError) as err:
+            parse_graph6(b">>graph6<<")
+        assert str(err.value) == "empty graph6 record (byte offset 10)"
+
     def test_trailing_garbage(self):
         with pytest.raises(FormatError):
             parse_graph6(b"C~~~")
@@ -241,6 +246,11 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             parse_edge_list("0 1\n1 x\n")
 
+    def test_three_tokens_rejected(self):
+        with pytest.raises(FormatError) as err:
+            parse_edge_list("0 1\n0 1 2\n")
+        assert str(err.value) == "expected 'u v', got '0 1 2' (byte offset 4)"
+
     def test_edges_text(self):
         assert edges_text({(2, 3), (0, 4)}) == "0-4,2-3"
         assert edges_text(()) == "-"
@@ -351,6 +361,8 @@ class TestDispatch:
         p.write_bytes(buf.getvalue())
         assert parse_graphs(buf.getvalue()) == read_graphs(str(p)) == [path(4), cycle(6)]
         assert parse_graphs(b"0 1\n1 2\n") == [path(3)]
+        claw = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+        assert parse_graphs(b"Bw\nCF\n") == [complete(3), claw]
 
     @pytest.mark.parametrize("data", [b"", b"\n", b" \n\t\r\n"])
     def test_empty_or_blank_data_holds_no_graphs(self, tmp_path, data):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from totbond.families import complete, complete_bipartite, cycle, path
 from totbond.graphs import Graph, IsolatedVertexError, asymmetric_edge, edge_key
 
-from oracles import brute_girth, tree_bfs_girth
+from oracles import brute_girth, mask_degree_queries, tree_bfs_girth
 
 
 def random_graph_strategy(max_n=8):
@@ -64,6 +64,17 @@ class TestConstruction:
     def test_raw_masks_checked(self, n, adj, message):
         with pytest.raises(ValueError) as exc:
             Graph(n, adj)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Graph.from_edges(-1, []), "vertex count must be nonnegative"),
+        (lambda: path(3).relabel([0, 0, 1]), "not a permutation of the vertex set"),
+        (lambda: path(3).distance(0, 3), "vertex out of range"),
+        (lambda: list(path(3).induced_cycles(2)), "cycles need at least 3 vertices"),
+    ], ids=["negative-order", "relabel-repeats", "distance-out-of-range", "induced-2-cycles"])
+    def test_bad_arguments_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
         assert str(exc.value) == message
 
     def test_edge_key_orders(self):
@@ -205,9 +216,33 @@ class TestQueries:
         assert (g.max_degree(), g.has_isolated_vertex()) == (3, False)
         assert h.delete_edges([(0, 2), (2, 3)]).max_degree() == 0
 
-    def test_complement(self):
-        g = path(3).complement()
-        assert g.edges() == ((0, 2),)
+    def test_degree_queries_match_their_mask_definitions(self):
+        from itertools import combinations_with_replacement
+
+        from totbond.corpus import girth4_corpus, planar_min3_corpus
+        from totbond.families import complete_multipartite
+        from totbond.smallgraphs import enumerate_graph_classes
+        from totbond.trees import enumerate_trees
+
+        def queries(g):
+            degrees = tuple(g.degree(v) for v in range(g.n))
+            assert g.degrees() == degrees
+            return g.m, degrees, g.min_degree(), g.max_degree(), g.support_vertices()
+
+        graphs = [g for n in range(1, 8) for g in enumerate_graph_classes(n)]
+        graphs += [complete_multipartite(sizes[::-1]) for k in range(1, 5)
+                   for sizes in combinations_with_replacement(range(1, 5), k)]
+        graphs += [t for n in range(2, 13) for t in enumerate_trees(n)]
+        graphs += list(girth4_corpus()) + list(planar_min3_corpus())
+        edited = 0
+        for g in graphs:
+            assert queries(g) == mask_degree_queries(g)
+            # g has cached its degrees; each edit must count its own
+            for e in g.edges()[:2]:
+                h = g.delete_edges([e])
+                assert queries(h) == mask_degree_queries(h)
+                edited += 1
+        assert edited > 3000
 
 
 class TestInducedCycles:

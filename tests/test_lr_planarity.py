@@ -169,15 +169,19 @@ def test_grids_with_chords_no_recursion():
     assert kinds == {True, False}
 
 
+# The CI step "Runtime without networkx" in one process: its four
+# pipelines, each behind a marker line, with networkx blocked so that
+# importing it fails.
 RUNTIME = """
 import sys
 sys.path[:0] = [sys.argv[1]]
-import totbond
-assert "networkx" not in sys.modules, "import totbond loaded networkx"
+sys.modules["networkx"] = None
 from totbond.cli import main
-for verb in ("detect", "discharge"):
-    assert main([verb, sys.argv[2]]) == 0
-    assert "networkx" not in sys.modules, verb + " loaded networkx"
+for argv in (["detect", sys.argv[2]], ["discharge", sys.argv[2]],
+             ["discharge", "--full", sys.argv[2]],
+             ["campaign", "--theorem", "config-borodin", "--corpus", "planar-min3"]):
+    print("==", *argv[:2], flush=True)
+    assert main(argv) == 0, argv
 """
 
 
@@ -185,12 +189,18 @@ def test_planar_verbs_run_without_networkx(tmp_path):
     path = tmp_path / "planar-min3.g6"
     with open(path, "wb") as fh:
         write_graph6(planar_min3_corpus(), fh)
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, and a run must leave no
+    # bytecode cache in the source tree
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", RUNTIME, os.path.join(ROOT, "src"), str(path)],
+        [sys.executable, "-I", "-B", "-c", RUNTIME, os.path.join(ROOT, "src"), str(path)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("DETECT ") >= 20
-    assert proc.stdout.count("DISCHARGE ") >= 20
+    runs = [run.splitlines()[1:] for run in proc.stdout.split("== ")[1:]]
+    assert [len(run) for run in runs[2:]] == [366, 21]
+    detect, discharge, full, campaign = runs
+    assert sum(line.startswith("DETECT ") for line in detect) >= 20
+    assert sum(line.startswith("DISCHARGE ") for line in discharge) >= 20
+    assert full[0].startswith("DISCHARGE ") and campaign[-1].startswith("SUMMARY ")
