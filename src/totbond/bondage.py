@@ -62,7 +62,7 @@ and Karp, Oper. Res. 61(2), 2013), kept under the plain sweep's order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, inf
 
 from .domination import _exists_cover, gamma_t
 from .graphs import Edge, Graph, _bits
@@ -97,6 +97,7 @@ class BondageCertificate:
     "infinite" (no bondage set exists; criterion names the reason), or
     "unknown-above-cap" (all subsets of size <= cap were exhausted or
     the work budget ran out; cap is the last fully searched size).
+    `interval` is the (lo, hi) range of b_t that this proves.
     """
 
     status: str
@@ -108,12 +109,20 @@ class BondageCertificate:
     criterion: str | None = None
     stats: BondageStats | None = field(default=None, compare=False)
 
-    def value(self) -> float:
+    @property
+    def interval(self) -> tuple[float, float]:
+        """(b_t, b_t), (inf, inf), or (cap + 1, inf) for a stopped search."""
         if self.status == "finite":
-            return self.b_t
+            return self.b_t, self.b_t
         if self.status == "infinite":
-            return float("inf")
-        raise ValueError(f"bondage undecided up to cap {self.cap}")
+            return inf, inf
+        return self.cap + 1, inf
+
+    def value(self) -> float:
+        lo, hi = self.interval
+        if lo < hi:
+            raise ValueError(f"bondage undecided up to cap {self.cap}")
+        return lo
 
 
 def _greedy_matching(g: Graph) -> list[int]:
@@ -222,7 +231,7 @@ class _Sweep:
     """Depth-first walk over the colex order of edge subsets.
 
     The walk holds U, the largest edges chosen so far, as deletions in
-    `adj`/`deg`, with their indices in `chosen`.  A node (U, j, hi) stands
+    `adj` only, with their indices in `chosen`.  A node (U, j, hi) stands
     for the C(hi, j) consecutive subsets that add j edges below hi to U.
     `pool` holds minimum TDSs as vertex masks.  The pool, as the level's
     root, and each node on the path with two or more edges left keep, in
@@ -242,7 +251,6 @@ class _Sweep:
         self.n = n
         self.edges = edges
         self.adj = list(g.adj)
-        self.deg = list(g.degrees())
         self.gv = gv
         self.budget = work_budget
         ebit = [0] * (n * n)  # 1 << (index of edge {u, v}) at u*n+v and v*n+u
@@ -289,10 +297,12 @@ class _Sweep:
             # a kill edge below hi kills d with one deletion
             if not masks[d] & below and not self._killable(d, j, hi):
                 return self._skip(comb(hi, j))
-        n, adj, deg, edges, ebit = self.n, self.adj, self.deg, self.edges, self.ebit
+        n, adj, edges, ebit = self.n, self.adj, self.edges, self.ebit
         for top in range(j - 1, hi):
             u, v = edges[top]
-            if deg[u] == 1 or deg[v] == 1:  # every subset below isolates u or v
+            au = adj[u] ^ (1 << v)
+            av = adj[v] ^ (1 << u)
+            if not (au and av):  # every subset below isolates u or v
                 self._skip(comb(top, j - 1))
                 continue
             # the child's pooled sets and their masks: this node's mask plus
@@ -301,8 +311,6 @@ class _Sweep:
             # deleted.  A last-edge child needs only the edges below top
             # that all its masks share (rest, which shrinks only then), and
             # is skipped when none are left
-            au = adj[u] ^ (1 << v)
-            av = adj[v] ^ (1 << u)
             child: dict[int, int] = {}
             rest = (1 << top) - 1
             for d in alive:
@@ -325,10 +333,8 @@ class _Sweep:
             if not rest:
                 self._skip(top)
                 continue
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-            deg[u] -= 1
-            deg[v] -= 1
+            adj[u] = au
+            adj[v] = av
             self.chosen.append(top)
             if j == 2:
                 found = self._last_edge(top, rest)
@@ -340,8 +346,6 @@ class _Sweep:
             self.chosen.pop()
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-            deg[u] += 1
-            deg[v] += 1
             if found is not None:
                 return found
         return None
@@ -370,7 +374,7 @@ class _Sweep:
     def _last_edge(self, hi: int, rest: int) -> frozenset[Edge] | None:
         # only an edge in `rest`, the edges below hi that kill every
         # surviving TDS, can finish a bondage set
-        adj, deg, edges = self.adj, self.deg, self.edges
+        adj, edges = self.adj, self.edges
         base = self.examined
         while rest:
             low = rest & -rest
@@ -378,7 +382,7 @@ class _Sweep:
             x = low.bit_length() - 1
             self._advance(base + x + 1)
             u, v = edges[x]
-            if deg[u] == 1 or deg[v] == 1:
+            if adj[u] == 1 << v or adj[v] == 1 << u:  # deleting x isolates u or v
                 continue
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
@@ -440,23 +444,18 @@ def bondage(g: Graph, cap: int | None = None, work_budget: int | None = None) ->
         )
     edges = g.edges()
     m = len(edges)
-    if cap is None:
-        cap_eff = min(m, g.max_degree() + DEFAULT_CAP_SLACK)
-    else:
-        cap_eff = min(cap, m)
+    cap = min(m, g.max_degree() + DEFAULT_CAP_SLACK) if cap is None else min(cap, m)
     sweep = _Sweep(g, edges, gv, before.witness, work_budget)
-    for k in range(1, cap_eff + 1):
+    for k in range(1, cap + 1):
         try:
             witness = sweep.level(k)
         except _OutOfBudget:
-            return BondageCertificate(
-                "unknown-above-cap", None, None, gv, None, cap=k - 1,
-                stats=sweep.stats(),
-            )
+            cap = k - 1  # the sizes searched through
+            break
         if witness is not None:
             return BondageCertificate(
                 "finite", k, witness, gv, sweep.gamma_after, stats=sweep.stats()
             )
     return BondageCertificate(
-        "unknown-above-cap", None, None, gv, None, cap=cap_eff, stats=sweep.stats()
+        "unknown-above-cap", None, None, gv, None, cap=cap, stats=sweep.stats()
     )

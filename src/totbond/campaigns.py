@@ -130,34 +130,32 @@ def _within(cert: BondageCertificate, bound: float) -> bool | None:
     None when the search stopped, at its cap or its work budget, before
     it had tried every edge set of size up to bound.
     """
-    if cert.status == "finite":
-        return cert.b_t <= bound
-    if cert.status == "unknown-above-cap" and cert.cap < bound:
+    lo, hi = cert.interval
+    if lo <= bound < hi:
         return None
-    # infinite, or every edge set up to the bound was searched and none worked
-    return False
+    return hi <= bound
 
 
 def _b_t_text(cert: BondageCertificate) -> object:
-    if cert.status == "finite":
-        return cert.b_t
-    return "inf" if cert.status == "infinite" else f">{cert.cap}"
+    lo, hi = cert.interval
+    if lo < hi:  # the search stopped with lo - 1 = cap
+        return f">{lo - 1}"
+    return "inf" if lo == math.inf else lo
 
 
 def _exact_value(tag: str, g: Graph, work_budget: int | None, *, expected) -> GraphOutcome:
     want = expected(g)
     if want == math.inf:
-        infinite = bondage(g, cap=0).status == "infinite"
+        infinite = bondage(g, cap=0).interval[0] == math.inf
         detail = [("expected", "inf"), ("got", "inf" if infinite else "finite-or-unknown")]
         return _outcome(tag, g, HOLDS if infinite else VIOLATED, detail)
     cert = bondage(g, cap=want, work_budget=work_budget)
-    within = _within(cert, min(want, g.m))
-    if within is None:
+    if _within(cert, min(want, g.m)) is None:
         return _skip(tag, g, "work-budget")
     detail = [("expected", want), ("got", _b_t_text(cert))]
     if cert.status == "finite":
         detail.append(("witness", edges_text(cert.witness)))
-    return _outcome(tag, g, HOLDS if within and cert.b_t == want else VIOLATED, detail)
+    return _outcome(tag, g, HOLDS if cert.interval == (want, want) else VIOLATED, detail)
 
 
 def _config_g4(tag: str, g: Graph, work_budget: int | None) -> GraphOutcome:
@@ -426,8 +424,8 @@ def verify_prior_bounds(g: Graph, work_budget: int | None = None) -> tuple[Bound
     """Judge the six Bound rows of PRIOR_BOUNDS from one uncapped certificate,
     each through `_within`; a row whose hypotheses g misses is not-applicable."""
     cert = bondage(g, work_budget=work_budget)
-    # None: only decided up to cert.cap
-    value = None if cert.status == "unknown-above-cap" else cert.value()
+    lo, hi = cert.interval
+    value = lo if lo == hi else None  # None: only decided up to cert.cap
     checks = []
     for name, row in PRIOR_BOUNDS.items():
         if _unmet(row.hypotheses, g) is None:

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple
 from .domination import gamma_t
 from .families import complete_multipartite
 from .formats import graph6_bytes
-from .graphs import Edge, Graph, edge_key
+from .graphs import Edge, Graph, _bits, edge_key
 
 VALID = "valid-bondage-set"
 ISOLATES = "violates-isolate-condition"
@@ -36,19 +36,21 @@ NO_RISE = "gamma-did-not-increase"
 UNMET = "precondition-unmet"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WitnessReport:
-    """One builder run: the edge set, the claim, and the replay outcome."""
+    """One builder run: the edge set, the claim, and the replay outcome.
+
+    A report whose rule did not apply carries only its reason.
+    """
 
     rule: str
     graph6: str
     anchors: tuple[int, ...]
-    edges: frozenset[Edge]
-    claimed_bound: int | None
-    observed_size: int | None
-    isolate_free: bool | None
-    gamma_before: int | None
-    gamma_after: int | None
+    edges: frozenset[Edge] = frozenset()
+    claimed_bound: int | None = None
+    observed_size: int | None = None
+    gamma_before: int | None = None
+    gamma_after: int | None = None
     verdict: str
     reason: str | None = None
 
@@ -79,57 +81,30 @@ class _Shared:
 
 
 def _unmet(rule: str, s: _Shared, anchors: tuple[int, ...], reason: str) -> WitnessReport:
-    return WitnessReport(
-        rule=rule,
-        graph6=s.graph6,
-        anchors=anchors,
-        edges=frozenset(),
-        claimed_bound=None,
-        observed_size=None,
-        isolate_free=None,
-        gamma_before=None,
-        gamma_after=None,
-        verdict=UNMET,
-        reason=reason,
-    )
+    return WitnessReport(rule=rule, graph6=s.graph6, anchors=anchors, verdict=UNMET, reason=reason)
 
 
 def _incident(g: Graph, vs) -> set[Edge]:
-    out: set[Edge] = set()
-    for v in set(vs):
-        a = g.adj[v]
-        while a:
-            low = a & -a
-            u = low.bit_length() - 1
-            out.add((u, v) if u < v else (v, u))
-            a ^= low
-    return out
+    return {edge_key(u, v) for v in vs for u in _bits(g.adj[v])}
 
 
 def _replay(rule: str, s: _Shared, anchors: tuple[int, ...], b: set[Edge], claimed: int) -> WitnessReport:
     edges = frozenset(b)  # every builder keys its edges with edge_key
     before = s.gamma
     h = s.g.delete_edges(edges)
-    isolate_free = not h.has_isolated_vertex()
-    after = gamma_t(h).value if isolate_free else None
-    if not isolate_free:
+    after = None
+    if h.has_isolated_vertex():
         verdict, reason = ISOLATES, "deletion isolates a vertex"
-    elif after > before:
-        verdict, reason = VALID, None
     else:
-        verdict, reason = NO_RISE, "total domination number did not increase"
+        after = gamma_t(h).value
+        if after > before:
+            verdict, reason = VALID, None
+        else:
+            verdict, reason = NO_RISE, "total domination number did not increase"
     return WitnessReport(
-        rule=rule,
-        graph6=s.graph6,
-        anchors=anchors,
-        edges=edges,
-        claimed_bound=claimed,
-        observed_size=len(edges),
-        isolate_free=isolate_free,
-        gamma_before=before,
-        gamma_after=after,
-        verdict=verdict,
-        reason=reason,
+        rule=rule, graph6=s.graph6, anchors=anchors, verdict=verdict, reason=reason,
+        edges=edges, claimed_bound=claimed, observed_size=len(edges),
+        gamma_before=before, gamma_after=after,
     )
 
 
@@ -158,9 +133,7 @@ def _triangle(g: Graph, anchors: tuple[int, ...]) -> _Built:
     a1 = min(v for v in anchors if g.degree(v) >= 3)
     rest = sorted(v for v in anchors if v != a1)
     w = min(u for u in g.neighbors(a1) if u not in anchors)
-    b = _incident(g, anchors)
-    b.discard(edge_key(a1, w))
-    b.discard(edge_key(rest[0], rest[1]))
+    b = _incident(g, anchors) - {edge_key(a1, w), edge_key(rest[0], rest[1])}
     return b, sum(g.degree(v) for v in anchors) - 5
 
 
@@ -188,9 +161,7 @@ def _cycle4(g: Graph, anchors: tuple[int, ...]) -> _Built:
     if flaw:
         return flaw
     x1, x2, x3, x4 = anchors
-    b = _incident(g, anchors)
-    b.discard(edge_key(x1, x2))
-    b.discard(edge_key(x3, x4))
+    b = _incident(g, anchors) - {edge_key(x1, x2), edge_key(x3, x4)}
     return b, sum(g.degree(v) for v in anchors) - 6
 
 
@@ -205,9 +176,7 @@ def _cycle5(g: Graph, anchors: tuple[int, ...]) -> _Built:
     if flaw:
         return flaw
     x1, x2, x3, x4, x5 = anchors
-    b = _incident(g, (x1, x2, x3, x4))
-    b.discard(edge_key(x1, x2))
-    b.discard(edge_key(x3, x4))
+    b = _incident(g, (x1, x2, x3, x4)) - {edge_key(x1, x2), edge_key(x3, x4)}
     if g.degree(x5) == 2:
         b.discard(edge_key(x4, x5))
     return b, g.degree(x1) + g.degree(x2) + g.degree(x3) + g.degree(x4) - 5
@@ -228,9 +197,7 @@ def _deg3_dist2(g: Graph, anchors: tuple[int, ...]) -> _Built:
         return "anchors are not at distance 2"
     v = (common & -common).bit_length() - 1
     u2p = min(x for x in g.neighbors(u2) if x != v)
-    b = _incident(g, (u1, u2, u2p))
-    b.discard(edge_key(u1, v))
-    b.discard(edge_key(u2, u2p))
+    b = _incident(g, (u1, u2, u2p)) - {edge_key(u1, v), edge_key(u2, u2p)}
     return b, g.max_degree() + 3
 
 
@@ -259,10 +226,7 @@ def _deg2_dist3(g: Graph, anchors: tuple[int, ...]) -> _Built:
         v = next(x for x in g.neighbors(u1) if x != u2)
         vp = min(x for x in g.neighbors(v) if x != u1)
         hub, kept = (vp, u1, u2), ((u1, u2), (v, vp))
-    b = _incident(g, hub)
-    for u, x in kept:
-        b.discard(edge_key(u, x))
-    return b, g.max_degree() + 1
+    return _incident(g, hub) - {edge_key(u, x) for u, x in kept}, g.max_degree() + 1
 
 
 def _degree_pairs(g: Graph, degree: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -315,9 +279,7 @@ def witness_multipartite(sizes) -> tuple[Graph, WitnessReport]:
         return g, _unmet("multipartite", s, (), "smallest part has fewer than two vertices")
     u11, u12 = 0, 1
     uk1, uk2 = n - parts[-1], n - parts[-1] + 1
-    b = _incident(g, (u11, u12))
-    b.discard(edge_key(u11, uk1))
-    b.discard(edge_key(u12, uk2))
+    b = _incident(g, (u11, u12)) - {edge_key(u11, uk1), edge_key(u12, uk2)}
     claimed = 4 * n - 2 * n1 - 2
     return g, _replay("multipartite", s, (u11, u12, uk1, uk2), b, claimed)
 

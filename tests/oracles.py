@@ -188,6 +188,10 @@ def walk_bondage(g: Graph, cap: int | None = None, work_budget: int | None = Non
     from totbond.domination import _exists_cover, gamma_t
 
     class Walk(_Sweep):
+        def __init__(self, g, *args):
+            super().__init__(g, *args)
+            self.deg = list(g.degrees())  # the walk tracks degrees beside `adj`
+
         def _solve(self):
             self.exact_calls += 1
             return _exists_cover(self.adj, self.gv)

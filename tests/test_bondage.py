@@ -508,7 +508,7 @@ class TestBudgetBoundaries:
             # skipped because no edge below kills every surviving set
             if j == 2 and size >= 2 and sweep.examined == start + math.comb(size, 2):
                 u, v = sweep.edges[size]
-                if sweep.deg[u] > 1 and sweep.deg[v] > 1:
+                if sweep.adj[u] != 1 << v and sweep.adj[v] != 1 << u:
                     adj = sweep.adj
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u

@@ -22,6 +22,7 @@ from totbond.campaigns import (
     VIOLATED,
     CampaignResult,
     GraphOutcome,
+    _b_t_text,
     _multipartite_parts,
     _unmet,
     _within,
@@ -306,6 +307,22 @@ class TestRunnerMechanics:
         assert _within(cert("infinite"), 99) is False
         stopped = cert("unknown-above-cap", cap=2)
         assert [_within(stopped, b) for b in (1, 2, 3)] == [False, False, None]
+
+        # the interval each status proves, on certificates the search returns
+        inf = math.inf
+        decided = bondage(cycle(6))
+        assert (decided.interval, decided.value(), _b_t_text(decided)) == ((3, 3), 3, 3)
+        assert [_within(decided, b) for b in (2, 3)] == [False, True]
+        infinite = bondage(path(3))
+        assert (infinite.interval, infinite.value(), _b_t_text(infinite)) == ((inf, inf), inf, "inf")
+        capped = bondage(cycle(6), cap=1)
+        assert (capped.interval, _b_t_text(capped)) == ((2, inf), ">1")
+        with pytest.raises(ValueError, match="undecided up to cap 1"):
+            capped.value()
+        assert [_within(capped, b) for b in (1, 2)] == [False, None]
+        budget_stop = bondage(cycle(6), work_budget=0)
+        assert (budget_stop.interval, _b_t_text(budget_stop)) == ((1, inf), ">0")
+        assert _within(budget_stop, 1) is None
 
     def test_readme_tag_table_is_theorems(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -115,7 +115,6 @@ class TestCycle5Rule:
         assert find_anchors(g, "cycle5") == [(0, 1, 2, 3, 4)]
         rep = apply_rule(g, "cycle5", (0, 1, 2, 3, 4))
         assert rep.verdict == ISOLATES
-        assert rep.isolate_free is False
         assert replay_with_oracle(g, rep) == ISOLATES
 
     def test_non_cycle_unmet(self):
@@ -292,7 +291,7 @@ class TestAnchorsAndDispatch:
             Graph, "min_degree", lambda h: checked.append("min-degree") or real_min_degree(h)
         )
         reports = scan_witnesses(g)
-        replayed = [r for r in reports if r.isolate_free]
+        replayed = [r for r in reports if r.gamma_after is not None]
         assert len(reports) > 1 and replayed
         assert solved.count(g) == 1
         # one further solve per replay on the graph minus the edge set
